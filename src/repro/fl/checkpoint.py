@@ -41,7 +41,7 @@ import copy
 import json
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -66,15 +66,31 @@ __all__ = [
 #: the bounded-registry layout: federations running a bounded
 #: :class:`~repro.fl.registry.ClientRegistry` persist only the *mutated*
 #: clients (plus a cycle-compressed fingerprint), keeping checkpoints
-#: O(clients touched), not O(population); v2 files still load.
-CHECKPOINT_FORMAT_VERSION = 3
+#: O(clients touched), not O(population).  Version 4 packs those clients
+#: into one stacked ``(n_dirty_of_model, *shape)`` array per model and
+#: parameter (``clients::<model>::<param>``; rows follow the sorted
+#: ``dirty`` list filtered by model) instead of one archive member per
+#: client and parameter.  v2 and v3 files still load.
+CHECKPOINT_FORMAT_VERSION = 4
 
 _META_VERSION = "__meta__format_version"
 _META_JSON = "__meta__json"
-_CLIENT_PREFIX = "client{cid}::"
-_SERVER_PREFIX = "server::"
-_ALGO_PREFIX = "algo::"
-_ENGINE_PREFIX = "engine::"
+# array keys are "<group>::<name>"; groups: client{cid} (one per client),
+# clients (v4 packed dirty clients, names "<model>::<param>"), server,
+# algo and engine
+_SEP = "::"
+_PACKED = "clients"
+_SERVER = "server"
+_ALGO = "algo"
+_ENGINE = "engine"
+
+
+def _client_group(client_id) -> str:
+    return f"client{client_id}"
+
+
+def _prefixed(group: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {f"{group}{_SEP}{key}": np.asarray(value) for key, value in arrays.items()}
 
 
 class CheckpointError(ValueError):
@@ -286,6 +302,73 @@ def _validate_fingerprint(meta: dict, algo: FederatedAlgorithm, path: str) -> No
     _validate_server_fingerprint(saved, algo)
 
 
+def _dirty_by_model(registry, dirty) -> Dict[str, List[int]]:
+    """``dirty`` split by model name, each list keeping ``dirty``'s order:
+    the row order of the v4 packed slabs."""
+    by_model: Dict[str, List[int]] = {}
+    for cid in dirty:
+        by_model.setdefault(registry.model_name(int(cid)), []).append(int(cid))
+    return by_model
+
+
+def _pack_dirty_clients(registry, dirty):
+    """Stack the dirty clients' states, one array per model and parameter.
+
+    Returns ``(arrays, rng_states)``: ``clients::<model>::<param>`` slabs
+    of shape ``(n_dirty_of_model, *shape)`` and each client's RNG state.
+    Slabs are preallocated from the model's first client and filled
+    straight from the live-set / spill-store reads, so no per-client copy
+    outlives its row.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    rng_states: Dict[str, dict] = {}
+    for model, cids in _dirty_by_model(registry, dirty).items():
+        slabs: Dict[str, np.ndarray] = {}
+        for row, cid in enumerate(cids):
+            state, rng_states[str(cid)] = registry.client_state(cid)
+            if not slabs:  # same model name, same parameter keys and shapes
+                slabs = {
+                    key: np.empty((len(cids),) + value.shape, dtype=value.dtype)
+                    for key, value in state.items()
+                }
+            for key, value in state.items():
+                slabs[key][row] = value
+        arrays.update(_prefixed(f"{_PACKED}{_SEP}{model}", slabs))
+    return arrays, rng_states
+
+
+def _group_arrays(arrays: Dict[str, np.ndarray]) -> Dict[str, Dict[str, np.ndarray]]:
+    """Split keys at their first ``::`` in one pass:
+    ``{"client3": {param: ...}, "server": {...}, "clients": {...}, ...}``."""
+    groups: Dict[str, Dict[str, np.ndarray]] = {}
+    for key, value in arrays.items():
+        head, sep, rest = key.partition(_SEP)
+        if sep:
+            groups.setdefault(head, {})[rest] = value
+    return groups
+
+
+def _unpack_dirty_clients(packed: Dict[str, np.ndarray], registry, dirty, path):
+    """``[(cid, state), ...]`` for every dirty client of a v4 packed
+    layout.  All row counts are checked before the list is returned, so a
+    malformed file raises before anything is restored."""
+    slabs = _group_arrays(packed)
+    states = []
+    for model, cids in _dirty_by_model(registry, dirty).items():
+        params = slabs.get(model, {})
+        rows = {len(slab) for slab in params.values()}
+        if rows != {len(cids)}:
+            raise CheckpointError(
+                f"'{path}': packed state of model '{model}' has rows "
+                f"{sorted(rows)}, expected {len(cids)} dirty clients"
+            )
+        states += [
+            (cid, {param: slab[row] for param, slab in params.items()})
+            for row, cid in enumerate(cids)
+        ]
+    return states
+
+
 def _publish_io(
     algo: FederatedAlgorithm, op: str, path: str, dur_s: float
 ) -> None:
@@ -328,44 +411,37 @@ def save_checkpoint(
     Under a *bounded* client registry (``max_live_clients``), only the
     clients whose state diverged from their seed derivation are written
     (read from the live set or the spill store — no re-materialisation),
-    so a 100k-client cohort run checkpoints in O(clients touched).
+    packed into one stacked array per model and parameter, so a
+    100k-client cohort run checkpoints in O(clients touched) with
+    O(models x parameters) archive members.
     Exact-resume still holds: untouched clients are pure functions of
     their seeds and re-derive identically.
     """
-    arrays: Dict[str, np.ndarray] = {}
     registry = _bounded_registry(algo)
-    client_rng: Dict[str, dict] = {}
     registry_meta = None
     if registry is not None:
         dirty = registry.dirty_ids()
-        for cid in dirty:
-            state, rng_state = registry.client_state(cid)
-            prefix = _CLIENT_PREFIX.format(cid=cid)
-            for key, value in state.items():
-                arrays[prefix + key] = np.asarray(value)
-            client_rng[str(cid)] = rng_state
+        arrays, client_rng = _pack_dirty_clients(registry, dirty)
         registry_meta = {"dirty": dirty}
         fingerprint = _registry_fingerprint(algo, registry)
     else:
+        arrays, client_rng = {}, {}
         for client in algo.clients:
-            prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            for key, value in client.model.state_dict().items():
-                arrays[prefix + key] = np.asarray(value)
+            arrays.update(
+                _prefixed(_client_group(client.client_id), client.model.state_dict())
+            )
             client_rng[str(client.client_id)] = client.rng_state()
         fingerprint = _fingerprint(algo)
     if algo.server.has_model:
-        for key, value in algo.server.model.state_dict().items():
-            arrays[_SERVER_PREFIX + key] = np.asarray(value)
-    for key, value in algorithm_state(algo).items():
-        arrays[_ALGO_PREFIX + key] = value
+        arrays.update(_prefixed(_SERVER, algo.server.model.state_dict()))
+    arrays.update(_prefixed(_ALGO, algorithm_state(algo)))
     # async-engine pipeline state (in-flight dispatches, buffered
     # contributions, dispatch snapshots) — present only when an
     # AsyncRoundEngine is attached, absent for sync-engine checkpoints
     engine = getattr(algo, "async_engine", None)
     engine_meta = None
     if engine is not None:
-        for key, value in engine.state_arrays().items():
-            arrays[_ENGINE_PREFIX + key] = np.asarray(value)
+        arrays.update(_prefixed(_ENGINE, engine.state_arrays()))
         engine_meta = engine.state_dict()
 
     meta = {
@@ -469,51 +545,39 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     start = time.perf_counter()
     arrays, meta = _read_archive(path)
     _validate_fingerprint(meta, algo, path)
+    groups = _group_arrays(arrays)
 
     rng_meta = meta["rng"]
     registry_meta = meta.get("registry")
     if registry_meta is not None:
-        # compact bounded-registry layout: only mutated clients were saved.
-        # Reset the registry (derived clients and spilled shards from any
-        # prior activity are stale) and adopt the saved states — applied
-        # in place when live, written straight to the spill store when
-        # not, so nothing is materialised that was not already.
+        # compact bounded-registry layout: only mutated clients were saved
+        # (v4 packs them into per-model slabs, v3 wrote one key per client
+        # and parameter).  Reset the registry (derived clients and spilled
+        # shards from any prior activity are stale) and adopt the saved
+        # states — applied in place when live, written straight to the
+        # spill store when not, so nothing is materialised that was not
+        # already.
         registry = algo.federation.registry
-        registry.reset()
-        for cid in registry_meta["dirty"]:
-            prefix = _CLIENT_PREFIX.format(cid=cid)
-            state = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            registry.restore_client_state(
-                int(cid), state, rng_meta["clients"][str(cid)]
+        dirty = registry_meta["dirty"]
+        if int(meta["format_version"]) >= 4:
+            states = _unpack_dirty_clients(
+                groups.get(_PACKED, {}), registry, dirty, path
             )
+        else:
+            states = [(int(cid), groups.get(_client_group(cid), {})) for cid in dirty]
+        registry.reset()
+        for cid, state in states:
+            registry.restore_client_state(cid, state, rng_meta["clients"][str(cid)])
     else:
         for client in algo.clients:
-            prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            state = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            client.model.load_state_dict(state)
+            client.model.load_state_dict(
+                groups.get(_client_group(client.client_id), {})
+            )
 
     if algo.server.has_model:
-        server_state = {
-            key[len(_SERVER_PREFIX):]: value
-            for key, value in arrays.items()
-            if key.startswith(_SERVER_PREFIX)
-        }
-        algo.server.model.load_state_dict(server_state)
+        algo.server.model.load_state_dict(groups.get(_SERVER, {}))
 
-    algo_state = {
-        key[len(_ALGO_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_ALGO_PREFIX)
-    }
-    load_algorithm_state(algo, algo_state)
+    load_algorithm_state(algo, groups.get(_ALGO, {}))
 
     _set_rng_state(algo.rng, rng_meta["algorithm"])
     _set_rng_state(algo.server.rng, rng_meta["server"])
@@ -541,13 +605,8 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
             "it synchronously would drop in-flight work and diverge"
         )
     if engine is not None and engine_meta is not None:
-        engine_arrays = {
-            key[len(_ENGINE_PREFIX):]: value
-            for key, value in arrays.items()
-            if key.startswith(_ENGINE_PREFIX)
-        }
         try:
-            engine.load_state_dict(engine_meta, engine_arrays)
+            engine.load_state_dict(engine_meta, groups.get(_ENGINE, {}))
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
     elif engine is not None:

@@ -64,7 +64,7 @@ class FederationConfig:
     max_live_clients:
         Carry at most this many materialised clients across rounds; the
         rest live as lazy registry entries, with mutated state spilled to
-        an npz shard store (:mod:`repro.fl.registry`).  ``None`` (default)
+        a raw shard store (:mod:`repro.fl.registry`).  ``None`` (default)
         never evicts — bit-identical to the historical eager path.
         Incompatible with ``executor="parallel"``, whose worker pool
         materialises every client at startup.

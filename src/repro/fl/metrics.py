@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["RoundRecord", "RunHistory", "nan_mean"]
@@ -173,7 +173,12 @@ class RunHistory:
             "algorithm": self.algorithm,
             "dataset": self.dataset,
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
+            # shallow per-record copies: dataclasses.asdict deep-copies
+            # every extras value, which every autosave of a long run pays
+            "records": [
+                {**vars(r), "client_accs": list(r.client_accs), "extras": dict(r.extras)}
+                for r in self.records
+            ],
         }
 
     def to_json(self) -> str:

@@ -13,10 +13,10 @@ O(N).  This module provides that shape:
   as the eager path, so a derived client is bit-identical to an eagerly
   built one), and the model is either built fresh from its seed or
   hydrated from the spill store.
-- :class:`ClientModelStore` — one lossless npz shard per *mutated* client
-  (model ``state_dict`` via :func:`repro.nn.serialize.serialize_state`
-  with ``dtype=None`` plus the client RNG stream as a JSON blob), written
-  when a live client is evicted.
+- :class:`ClientModelStore` — one lossless raw shard per *mutated* client
+  (the client RNG stream as a JSON blob, then the model ``state_dict`` in
+  the :func:`repro.nn.serialize.serialize_state` layout with
+  ``dtype=None``), written when a live client is evicted.
 
 Mutation tracking decides what must survive eviction: ``registry[cid]``
 marks the client *dirty* (algorithms train / load weights through it),
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import tempfile
 from collections import OrderedDict
@@ -53,24 +54,30 @@ from .client import FLClient
 
 __all__ = ["ClientModelStore", "ClientRegistry"]
 
-_RNG_KEY = "__rng__json"
+# the store's own files: finished shards and interrupted-write leftovers
+# (``.npz`` is the extension older builds wrote)
+_SHARD_FILE = re.compile(r"client\d+\.(?:shard|npz)(?:\.tmp\.\d+)?")
 
 
 class ClientModelStore:
-    """Spill-to-disk store: one lossless npz shard per client id.
+    """Spill-to-disk store: one lossless raw shard per client id.
 
-    A shard holds the client model's ``state_dict`` (native dtypes — the
-    same lossless mode the parallel runtime ships state between processes
-    with) and the client's RNG stream state.  ``root=None`` creates a
-    private temporary directory lazily on first write and removes it on
-    :meth:`close`; an explicit ``root`` is owned by the caller and left in
-    place.
+    A shard holds the client's RNG stream state (length-prefixed JSON)
+    followed by the model's ``state_dict`` in native dtypes — the same
+    lossless :func:`~repro.nn.serialize.serialize_state` layout the
+    parallel runtime ships state between processes with.  The store
+    indexes the ids it wrote itself, so shard files it did not write
+    (e.g. left in a reused ``root`` by an earlier run) are never read.
+    ``root=None`` creates a private temporary directory lazily on first
+    write and removes it on :meth:`close`; an explicit ``root`` is owned
+    by the caller and left in place.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
         self._root = root
         self._owned = root is None
         self._created = False
+        self._ids: set = set()
 
     @property
     def root(self) -> Optional[str]:
@@ -85,7 +92,7 @@ class ClientModelStore:
         return self._root
 
     def _shard_path(self, client_id: int) -> str:
-        return os.path.join(self._ensure_root(), f"client{client_id:08d}.npz")
+        return os.path.join(self._ensure_root(), f"client{client_id:08d}.shard")
 
     def save(
         self, client_id: int, model_state: Dict[str, np.ndarray], rng_state: dict
@@ -107,6 +114,7 @@ class ClientModelStore:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        self._ids.add(client_id)
         return 8 + len(rng_blob) + len(blob)
 
     def load(self, client_id: int) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -115,20 +123,21 @@ class ClientModelStore:
         with open(path, "rb") as f:
             rng_len = int.from_bytes(f.read(8), "little")
             rng_state = json.loads(f.read(rng_len).decode("utf-8"))
-            state = deserialize_state(f.read(), dtype=None)
+            # an aligned, writable buffer: the state decodes as views of it
+            state = deserialize_state(np.fromfile(f, dtype=np.uint8), dtype=None)
         return state, rng_state
 
     def has(self, client_id: int) -> bool:
-        if not self._created or self._root is None:
-            return False
-        return os.path.exists(self._shard_path(client_id))
+        return client_id in self._ids
 
     def clear(self) -> None:
-        """Drop every shard (checkpoint restore resets the store)."""
-        if not self._created or self._root is None:
+        """Drop every shard file of this store's kind in ``root``,
+        including interrupted-write leftovers; other files are kept."""
+        self._ids.clear()
+        if self._root is None or not os.path.isdir(self._root):
             return
         for name in os.listdir(self._root):
-            if name.startswith("client") and name.endswith(".npz"):
+            if _SHARD_FILE.fullmatch(name):
                 os.remove(os.path.join(self._root, name))
 
     def close(self) -> None:
@@ -137,6 +146,7 @@ class ClientModelStore:
             shutil.rmtree(self._root, ignore_errors=True)
             self._created = False
             self._root = None
+            self._ids.clear()
 
 
 def _json_default(value):
@@ -198,6 +208,8 @@ class ClientRegistry(Sequence):
         self._base_seed = int(base_seed)
         self.max_live = max_live
         self.store = ClientModelStore(spill_dir)
+        # a reused spill_dir may hold an earlier run's shards: start empty
+        self.store.clear()
         self._live: "OrderedDict[int, FLClient]" = OrderedDict()
         self._dirty: set = set()
         # lifetime counters surfaced by stats() and the cohort benchmark

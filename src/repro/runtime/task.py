@@ -2,7 +2,7 @@
 
 A :class:`ClientTask` is a self-contained description of one unit of
 per-client work (local training, public-set inference, ...).  It carries
-the client's model state as an npz blob produced by
+the client's model state as a raw state blob produced by
 :mod:`repro.nn.serialize` — live model objects are never pickled — plus
 the client's RNG state, so a worker process reproduces exactly the
 computation inline execution would have performed.  The worker answers

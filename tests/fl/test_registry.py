@@ -25,10 +25,16 @@ from repro.fl import (
     ParticipationSampler,
     nan_mean,
 )
-from repro.fl.checkpoint import load_checkpoint, load_history
+from repro.fl.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    load_checkpoint,
+    load_history,
+    read_checkpoint_meta,
+)
 from repro.nn import build_model
 
 from ..conftest import make_tiny_federation
+from . import v3_fixture
 from .test_exact_resume import assert_bit_identical
 
 FEATURE_DIM = 16
@@ -91,6 +97,22 @@ class TestClientModelStore:
         store.save(0, self._state(np.random.default_rng(3)), {"s": 1})
         store.close()
         assert os.path.isdir(root)
+
+    def test_clear_removes_only_own_shard_files(self, tmp_path):
+        root = tmp_path / "store"
+        store = ClientModelStore(str(root))
+        store.save(3, self._state(np.random.default_rng(4)), {"s": 1})
+        for name in ("client00000009.shard.tmp.4242", "client00000001.npz",
+                     "notes.txt", "client-data.bin"):
+            (root / name).write_bytes(b"x")
+        store.clear()
+        assert sorted(os.listdir(root)) == ["client-data.bin", "notes.txt"]
+        assert not store.has(3)
+
+    def test_shard_files_it_did_not_write_are_not_read(self, tmp_path):
+        root = str(tmp_path / "store")
+        ClientModelStore(root).save(5, self._state(np.random.default_rng(5)), {"s": 1})
+        assert not ClientModelStore(root).has(5)
 
 
 class TestClientRegistry:
@@ -260,6 +282,76 @@ class TestBoundedRunEquivalence:
         finally:
             fed.close()
 
+        assert_bit_identical(full, resumed)
+
+    def test_reused_spill_dir_starts_empty(self, tiny_bundle, tmp_path):
+        """A second run over the same explicit spill_dir must not hydrate
+        the first run's shards: it is bit-identical to a run over a fresh
+        directory, with the same hydrations (none of them stale)."""
+
+        def run(spill_dir):
+            fed = make_tiny_federation(
+                tiny_bundle, num_clients=4, server_model=None,
+                max_live_clients=1, spill_dir=spill_dir,
+            )
+            algo = build_algorithm("fedproto", fed, seed=0, epoch_scale=0.1)
+            try:
+                return algo.run(3, eval_every=1), fed.registry.stats()
+            finally:
+                fed.close()
+
+        fresh, fresh_stats = run(str(tmp_path / "fresh"))
+        reused = tmp_path / "reused"
+        run(str(reused))
+        assert any(name.endswith(".shard") for name in os.listdir(reused))
+        (reused / "client00000002.shard.tmp.999").write_bytes(b"partial")
+        second, second_stats = run(str(reused))
+        assert_bit_identical(fresh, second)
+        assert second_stats["hydrations"] == fresh_stats["hydrations"]
+
+    def test_async_bounded_resume_bit_identical(self, tmp_path):
+        """v4 packed checkpoint: an async bounded-registry run autosaved
+        mid-run and resumed finishes bit-identical to one that never
+        stopped."""
+        path = str(tmp_path / "async_bounded.ckpt.npz")
+        engine, fed = v3_fixture.build_engine()
+        try:
+            full = engine.run(v3_fixture.TOTAL_ROUNDS, eval_every=1)
+        finally:
+            fed.close()
+
+        engine, fed = v3_fixture.build_engine()
+        original = engine._run_engine_round
+        calls = {"n": 0}
+
+        def crash_after_save():
+            calls["n"] += 1
+            if calls["n"] > v3_fixture.SAVED_ROUNDS:
+                raise KeyboardInterrupt
+            return original()
+
+        engine._run_engine_round = crash_after_save
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                engine.run(
+                    v3_fixture.TOTAL_ROUNDS, eval_every=1,
+                    checkpoint_every=v3_fixture.SAVED_ROUNDS, checkpoint_path=path,
+                )
+        finally:
+            fed.close()
+
+        meta = read_checkpoint_meta(path)
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert meta["round_index"] == v3_fixture.SAVED_ROUNDS
+        engine, fed = v3_fixture.build_engine()
+        try:
+            done = load_checkpoint(engine.algo, path)
+            resumed = engine.run(
+                v3_fixture.TOTAL_ROUNDS - done, eval_every=1,
+                history=load_history(path),
+            )
+        finally:
+            fed.close()
         assert_bit_identical(full, resumed)
 
     def test_parallel_executor_rejected_with_bounded_registry(self):
