@@ -1,9 +1,13 @@
-"""Extending the framework: write your own FL algorithm in ~40 lines.
+"""Extending the framework: write your own FL algorithm in ~50 lines.
 
 Demonstrates the public extension surface: subclass
-``repro.fl.FederatedAlgorithm``, implement ``run_round``, meter every
-transfer through ``self.channel``, and the engine handles evaluation,
-failure injection, and history recording.
+``repro.fl.FederatedAlgorithm``, write a round as its three phases —
+``async_client_work`` (per-client work and uplink) and
+``async_server_update`` (fold the contributions into the server; an
+``async_dispatch_state`` override would hand clients server state) —
+meter every transfer through ``self.channel``, and the engine handles
+evaluation, failure injection, and history recording.  The same class
+runs unchanged under ``repro.fl.AsyncRoundEngine``.
 
 The toy algorithm here — "FedTopK" — is a FedMD variant where each client
 only uploads logits for the public samples it is most confident about
@@ -37,11 +41,9 @@ class FedTopK(FederatedAlgorithm):
         self.local_cfg = TrainingConfig(epochs=2, batch_size=32)
         self.digest_cfg = TrainingConfig(epochs=2, batch_size=32)
 
-    def run_round(self, participants):
-        n_public = len(self.public_x)
-        k = max(1, int(self.top_fraction * n_public))
-        votes = np.zeros((n_public, self.bundle.num_classes))
-        counts = np.zeros(n_public)
+    def async_client_work(self, participants, snapshot):
+        k = max(1, int(self.top_fraction * len(self.public_x)))
+        contributions = []
         for client in participants:
             client.train_local(self.local_cfg)
             logits = client.logits_on(self.public_x)
@@ -52,13 +54,25 @@ class FedTopK(FederatedAlgorithm):
                 {"logits": logits[confident],
                  "indices": confident.astype(np.float32)},
             )
-            votes[confident] += logits[confident]
-            counts[confident] += 1
+            contributions.append(
+                {"logits": logits[confident], "indices": confident}
+            )
+        return contributions
+
+    def async_server_update(self, contributions, client_weights, contributors):
+        n_public = len(self.public_x)
+        votes = np.zeros((n_public, self.bundle.num_classes))
+        counts = np.zeros(n_public)
+        # client_weights are the async engine's staleness discounts (all
+        # 1.0 in a synchronous round)
+        for contribution, weight in zip(contributions, client_weights):
+            votes[contribution["indices"]] += weight * contribution["logits"]
+            counts[contribution["indices"]] += weight
         covered = counts > 0
         consensus = np.zeros_like(votes)
         consensus[covered] = votes[covered] / counts[covered, None]
         x_cov = self.public_x[covered]
-        for client in participants:
+        for client in contributors:
             self.channel.download(
                 client.client_id, {"consensus": consensus[covered]}
             )

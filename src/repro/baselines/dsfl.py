@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..core.aggregation import entropy_reduction_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
+from .fedmd import upload_public_logits
 
 __all__ = ["DSFLConfig", "DSFL"]
 
@@ -43,23 +46,28 @@ class DSFL(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.config = config or DSFLConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        return upload_public_logits(self, participants, self.config.local)
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        """ERA-sharpen the logits into a consensus; contributors digest it."""
         cfg = self.config
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
-        )
-        logits_list = self.map_clients(
-            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-        )
-        for client, logits in zip(participants, logits_list):
-            self.channel.upload(client.client_id, {"logits": logits})
         consensus = entropy_reduction_aggregate(
-            logits_list, temperature=cfg.era_temperature
+            [c["logits"] for c in contributions],
+            temperature=cfg.era_temperature,
+            client_weights=client_weights,
         )
-        for client in participants:
+        for client in contributors:
             self.channel.download(client.client_id, {"consensus": consensus})
         self.map_clients(
-            participants,
+            contributors,
             "train_public_distill",
             {
                 "x_public": PUBLIC_X,
@@ -69,4 +77,4 @@ class DSFL(FederatedAlgorithm):
             },
             stage="digest",
         )
-        return {"participants": float(len(participants))}
+        return {"participants": float(len(contributors))}

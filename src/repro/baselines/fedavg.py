@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
@@ -55,24 +57,47 @@ class FedAvg(FederatedAlgorithm):
         """Hook overridden by FedProx to add the proximal term."""
         return {"config": self.config.local}
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        global_state = self.server.model.state_dict()
+    def async_dispatch_state(self) -> Dict[str, np.ndarray]:
+        return self.server.model.state_dict()  # copies
+
+    def _broadcast_and_train(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> None:
+        """Downlink the global weights, then train locally from them."""
         for client in participants:
-            self.channel.download(client.client_id, global_state)
-            client.model.load_state_dict(global_state)
+            self.channel.download(client.client_id, snapshot)
+            client.model.load_state_dict(snapshot)
         self.map_clients(
             participants,
             "train_local",
-            self._local_training_kwargs(global_state),
+            self._local_training_kwargs(snapshot),
             stage="local_train",
         )
-        states, sizes = [], []
+
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        self._broadcast_and_train(participants, snapshot)
+        states = []
         for client in participants:
             state = client.model.state_dict()
             self.channel.upload(client.client_id, state)
             states.append(state)
-            sizes.append(client.num_samples)
-        if states:
-            averaged = weighted_average_states(states, sizes)
-            self.server.model.load_state_dict(averaged)
-        return {"participants": float(len(participants))}
+        return states
+
+    def _average_into_server(
+        self, states, client_weights: List[float], contributors: List[FLClient]
+    ) -> None:
+        # Eq. 1 with each dataset size scaled by its client's weight;
+        # n * 1.0 is exact, so unit weights average as the sync round
+        sizes = [c.num_samples * w for c, w in zip(contributors, client_weights)]
+        self.server.model.load_state_dict(weighted_average_states(states, sizes))
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        self._average_into_server(contributions, client_weights, contributors)
+        return {"participants": float(len(contributors))}

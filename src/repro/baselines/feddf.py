@@ -4,7 +4,8 @@ Round structure: broadcast global weights → clients train locally → upload
 weights → server computes the FedAvg average **and** fine-tunes it by
 distilling the client *ensemble*'s averaged predictions on the unlabelled
 public set.  Because weights are exchanged, client and server architectures
-must match (the paper runs ResNet-20 everywhere for FedDF).
+must match (the paper runs ResNet-20 everywhere for FedDF).  Under the
+async engine both fusion steps take each contribution's staleness weight.
 
 The server already holds every client's weights after the upload, so it can
 evaluate the ensemble on the public set without extra communication; in
@@ -17,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.aggregation import equal_average_aggregate
+import numpy as np
+
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation
 from ..runtime import PUBLIC_X
 from .fedavg import FedAvg
-from .model_averaging import weighted_average_states
 
 __all__ = ["FedDFConfig", "FedDF"]
 
@@ -51,37 +53,44 @@ class FedDF(FedAvg):
         super().__init__(federation, config=None, seed=seed)
         self.config = config or FedDFConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        cfg = self.config
-        global_state = self.server.model.state_dict()
-        for client in participants:
-            self.channel.download(client.client_id, global_state)
-            client.model.load_state_dict(global_state)
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        """FedAvg's uploaded weights plus each model's public-set logits:
+        the server holds every uploaded model, so evaluating the ensemble
+        on the public set needs no extra communication."""
+        self._broadcast_and_train(participants, snapshot)
+        public_logits = self.map_clients(
+            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
         )
-        states, sizes = [], []
-        for client in participants:
+        contributions = []
+        for client, logits in zip(participants, public_logits):
             state = client.model.state_dict()
             self.channel.upload(client.client_id, state)
-            states.append(state)
-            sizes.append(client.num_samples)
-        if not states:
-            return {"participants": 0.0, "server_loss": 0.0}
+            contributions.append(dict(state, public_logits=logits))
+        return contributions
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        cfg = self.config
         # Fusion step 1: parameter averaging (initialisation of the fusion).
-        averaged = weighted_average_states(states, sizes)
-        self.server.model.load_state_dict(averaged)
-        # Fusion step 2: ensemble distillation on the public set.  The
-        # server evaluates each uploaded client model; no extra transfer.
-        ensemble = equal_average_aggregate(
-            self.map_clients(
-                participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-            )
+        states = [
+            {k: v for k, v in c.items() if k != "public_logits"}
+            for c in contributions
+        ]
+        self._average_into_server(states, client_weights, contributors)
+        # Fusion step 2: ensemble distillation on the public set.
+        ensemble = staleness_discounted_aggregate(
+            [c["public_logits"] for c in contributions], client_weights, mode="equal"
         )
         with self.tracer.span(
             "server_distill",
             scope="server",
-            attrs={"clients": len(participants), "epochs": cfg.server.epochs},
+            attrs={"clients": len(contributors), "epochs": cfg.server.epochs},
         ) as span:
             loss = self.server.train_distill(
                 self.public_x,
@@ -98,4 +107,4 @@ class FedDF(FedAvg):
         )
         if self.metrics.enabled:
             self.metrics.gauge("feddf/server_loss").set(loss)
-        return {"participants": float(len(participants)), "server_loss": loss}
+        return {"participants": float(len(contributors)), "server_loss": loss}

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.aggregation import variance_weighted_aggregate
+import numpy as np
+
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
@@ -54,7 +56,9 @@ class FedET(FederatedAlgorithm):
             raise ValueError("FedET requires a (large) server model")
         self.config = config or FedETConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
         cfg = self.config
         self.map_clients(
             participants, "train_local", {"config": cfg.local}, stage="local_train"
@@ -65,7 +69,18 @@ class FedET(FederatedAlgorithm):
         for client in participants:
             # FedET uploads model parameters (the expensive part).
             self.channel.upload(client.client_id, client.model.state_dict())
-        ensemble = variance_weighted_aggregate(logits_list)
+        return [{"logits": logits} for logits in logits_list]
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        cfg = self.config
+        ensemble = staleness_discounted_aggregate(
+            [c["logits"] for c in contributions], client_weights, mode="variance"
+        )
         pseudo = ensemble.argmax(axis=1)
         loss = self.server.train_distill(
             self.public_x,
@@ -76,10 +91,10 @@ class FedET(FederatedAlgorithm):
             temperature=cfg.temperature,
         )
         server_logits = self.server.logits_on(self.public_x)
-        for client in participants:
+        for client in contributors:
             self.channel.download(client.client_id, {"server_logits": server_logits})
         self.map_clients(
-            participants,
+            contributors,
             "train_public_distill",
             {
                 "x_public": PUBLIC_X,
@@ -90,4 +105,4 @@ class FedET(FederatedAlgorithm):
             },
             stage="public_train",
         )
-        return {"participants": float(len(participants)), "server_loss": loss}
+        return {"participants": float(len(contributors)), "server_loss": loss}

@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
 
-from ..core.aggregation import equal_average_aggregate
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
 
-__all__ = ["FedMDConfig", "FedMD"]
+__all__ = ["FedMDConfig", "FedMD", "upload_public_logits"]
 
 
 @dataclass
@@ -44,21 +45,26 @@ class FedMD(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.config = config or FedMDConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        return upload_public_logits(self, participants, self.config.local)
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        """Average the logits into a consensus; contributors digest it."""
         cfg = self.config
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
+        consensus = staleness_discounted_aggregate(
+            [c["logits"] for c in contributions], client_weights, mode="equal"
         )
-        logits_list = self.map_clients(
-            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-        )
-        for client, logits in zip(participants, logits_list):
-            self.channel.upload(client.client_id, {"logits": logits})
-        consensus = equal_average_aggregate(logits_list)
-        for client in participants:
+        for client in contributors:
             self.channel.download(client.client_id, {"consensus": consensus})
         self.map_clients(
-            participants,
+            contributors,
             "train_public_distill",
             {
                 "x_public": PUBLIC_X,
@@ -69,4 +75,20 @@ class FedMD(FederatedAlgorithm):
             },
             stage="digest",
         )
-        return {"participants": float(len(participants))}
+        return {"participants": float(len(contributors))}
+
+
+def upload_public_logits(
+    algo: FederatedAlgorithm, participants: List[FLClient], local: TrainingConfig
+) -> List[Dict[str, np.ndarray]]:
+    """The logit-exchange client phase (FedMD, DS-FL, NaiveKD): local
+    training, then each client's logits on the public set go uplink."""
+    algo.map_clients(
+        participants, "train_local", {"config": local}, stage="local_train"
+    )
+    logits_list = algo.map_clients(
+        participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
+    )
+    for client, logits in zip(participants, logits_list):
+        algo.channel.upload(client.client_id, {"logits": logits})
+    return [{"logits": logits} for logits in logits_list]

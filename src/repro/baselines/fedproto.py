@@ -61,12 +61,19 @@ class FedProto(FederatedAlgorithm):
             self.global_prototypes = np.asarray(state["global_prototypes"]).copy()
 
     # ------------------------------------------------------------------
-    # round phases, shared between the sync round and the async protocol
+    # the round protocol (repro.fl.simulation.FederatedAlgorithm)
     # ------------------------------------------------------------------
-    def _local_phase(
-        self, participants: List[FLClient], prototypes: Optional[np.ndarray]
-    ) -> None:
+    def async_dispatch_state(self) -> Dict[str, np.ndarray]:
+        if self.global_prototypes is None:
+            return {}
+        return {"global_prototypes": self.global_prototypes.copy()}
+
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        """Prototype-regularised local training, then the prototype uplink."""
         cfg = self.config
+        prototypes = snapshot.get("global_prototypes")
         use_protos = prototypes is not None and cfg.proto_weight > 0
         self.map_clients(
             participants,
@@ -78,12 +85,10 @@ class FedProto(FederatedAlgorithm):
             },
             stage="local_train",
         )
-
-    def _collect_prototypes(self, participants: List[FLClient]):
         protos_list = self.map_clients(
             participants, "compute_prototypes", stage="prototypes"
         )
-        counts_list = []
+        contributions = []
         for client, protos in zip(participants, protos_list):
             counts = client.class_counts()
             present = prototype_coverage(protos)
@@ -91,8 +96,35 @@ class FedProto(FederatedAlgorithm):
                 client.client_id,
                 {"prototypes": protos[present], "class_counts": counts},
             )
-            counts_list.append(counts)
-        return protos_list, counts_list
+            contributions.append({"prototypes": protos, "class_counts": counts})
+        return contributions
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        """Fold the contributions into the prototype table and broadcast it.
+
+        ``aggregate_prototypes`` takes the unweighted rule when every
+        weight is 1.0.
+        """
+        new_protos = aggregate_prototypes(
+            [c["prototypes"] for c in contributions],
+            [c["class_counts"] for c in contributions],
+            client_weights=client_weights,
+        )
+        self._trace_drift(new_protos)
+        self.global_prototypes = merge_prototypes(new_protos, self.global_prototypes)
+        covered = prototype_coverage(self.global_prototypes)
+        payload = {"global_prototypes": self.global_prototypes[covered]}
+        for client in contributors:
+            self.channel.download(client.client_id, payload)
+        return {
+            "participants": float(len(contributors)),
+            "proto_coverage": float(covered.mean()),
+        }
 
     def _trace_drift(self, new_protos: np.ndarray) -> None:
         if not (self.tracer.enabled and self.global_prototypes is not None):
@@ -111,75 +143,3 @@ class FedProto(FederatedAlgorithm):
             scope="server",
             attrs={"drift_l2": drift, "classes_compared": int(both.sum())},
         )
-
-    def _merge_and_broadcast(
-        self, new_protos: np.ndarray, participants: List[FLClient]
-    ) -> np.ndarray:
-        self._trace_drift(new_protos)
-        self.global_prototypes = merge_prototypes(new_protos, self.global_prototypes)
-        covered = prototype_coverage(self.global_prototypes)
-        payload = {"global_prototypes": self.global_prototypes[covered]}
-        for client in participants:
-            self.channel.download(client.client_id, payload)
-        return covered
-
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        self._local_phase(participants, self.global_prototypes)
-        protos_list, counts_list = self._collect_prototypes(participants)
-        new_protos = aggregate_prototypes(protos_list, counts_list)
-        covered = self._merge_and_broadcast(new_protos, participants)
-        return {
-            "participants": float(len(participants)),
-            "proto_coverage": float(covered.mean()),
-        }
-
-    # ------------------------------------------------------------------
-    # async engine protocol (repro.fl.async_engine)
-    #
-    # The sync round above is the bit-identical reference: per-client
-    # work (prototype-regularised local training + prototype uplink)
-    # against a dispatch-time snapshot of the global prototypes, then a
-    # buffered server update with per-contribution staleness discounts.
-    # ``aggregate_prototypes`` short-circuits to the unweighted rule when
-    # every weight is 1.0, so the degenerate async configuration replays
-    # run_round's arithmetic exactly.
-    # ------------------------------------------------------------------
-    supports_async = True
-
-    def async_dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
-        """Server state a dispatch is computed against (frozen per version)."""
-        protos = self.global_prototypes
-        return {"global_prototypes": None if protos is None else protos.copy()}
-
-    def async_client_work(
-        self, participants: List[FLClient], snapshot: Dict
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """One dispatched client's prototype contribution.
-
-        ``participants`` is a single-client list the engine may shrink in
-        place on a runtime dropout; returns ``None`` when the client
-        dropped mid-work.
-        """
-        self._local_phase(participants, snapshot.get("global_prototypes"))
-        protos_list, counts_list = self._collect_prototypes(participants)
-        if not participants:
-            return None
-        return {"prototypes": protos_list[0], "class_counts": counts_list[0]}
-
-    def async_server_update(
-        self,
-        contributions: List[Dict[str, np.ndarray]],
-        client_weights: List[float],
-        contributors: List[FLClient],
-    ) -> Dict[str, float]:
-        """Fold one buffer of contributions into the prototype table."""
-        new_protos = aggregate_prototypes(
-            [c["prototypes"] for c in contributions],
-            [c["class_counts"] for c in contributions],
-            client_weights=client_weights,
-        )
-        covered = self._merge_and_broadcast(new_protos, list(contributors))
-        return {
-            "participants": float(len(contributors)),
-            "proto_coverage": float(covered.mean()),
-        }

@@ -47,11 +47,6 @@ from .prototypes import merge_prototypes, aggregate_prototypes, prototype_covera
 
 __all__ = ["FedPKDConfig", "FedPKD"]
 
-# sentinel: "use the algorithm's current global prototypes" — distinct from
-# an explicit None (no prototypes yet), which async dispatch snapshots need
-# to be able to say
-_CURRENT = object()
-
 
 @dataclass
 class FedPKDConfig:
@@ -144,11 +139,9 @@ class FedPKD(FederatedAlgorithm):
     # round phases
     # ------------------------------------------------------------------
     def _client_local_phase(
-        self, participants: List[FLClient], prototypes=_CURRENT
+        self, participants: List[FLClient], prototypes: Optional[np.ndarray]
     ) -> None:
         cfg = self.config
-        if prototypes is _CURRENT:
-            prototypes = self.global_prototypes
         use_protos = (
             cfg.client_prototype_loss
             and prototypes is not None
@@ -165,43 +158,14 @@ class FedPKD(FederatedAlgorithm):
             stage="local_train",
         )
 
-    def _collect_dual_knowledge(self, participants: List[FLClient]):
-        """Uplink: logits on the public set + prototypes + class counts."""
-        knowledge = self.map_clients(
-            participants,
-            "public_knowledge",
-            {"x": PUBLIC_X},
-            stage="public_knowledge",
-        )
-        logits_list, protos_list, counts_list = [], [], []
-        for client, bundle in zip(participants, knowledge):
-            # the server sees the (possibly lossy) wire version
-            logits, wire_logits = roundtrip(
-                bundle["logits"], self.config.logit_compression
-            )
-            protos = bundle["prototypes"]
-            counts = bundle["class_counts"]
-            present = prototype_coverage(protos)
-            self.channel.upload(
-                client.client_id,
-                {
-                    "logits": wire_logits,
-                    "prototypes": protos[present],
-                    "class_counts": counts,
-                },
-            )
-            logits_list.append(logits)
-            protos_list.append(protos)
-            counts_list.append(counts)
-        return logits_list, protos_list, counts_list
-
-    def _aggregate(
-        self, logits_list, protos_list, counts_list, client_weights=None
-    ) -> np.ndarray:
+    def _aggregate(self, contributions, client_weights) -> np.ndarray:
         cfg = self.config
-        if client_weights is not None:
-            # async staleness discounts (alpha ** s); delegates to the exact
-            # undiscounted rule below when every weight is 1.0
+        logits_list = [c["logits"] for c in contributions]
+        protos_list = [c["prototypes"] for c in contributions]
+        counts_list = [c["class_counts"] for c in contributions]
+        if any(w != 1.0 for w in client_weights):
+            # async staleness discounts (alpha ** s); a sync round's unit
+            # weights take the undiscounted rules below
             aggregated = staleness_discounted_aggregate(
                 logits_list, client_weights, mode=cfg.aggregation
             )
@@ -343,64 +307,46 @@ class FedPKD(FederatedAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # the round
+    # the round protocol (repro.fl.simulation.FederatedAlgorithm)
     # ------------------------------------------------------------------
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        self._client_local_phase(participants)
-        logits_list, protos_list, counts_list = self._collect_dual_knowledge(
-            participants
-        )
-        aggregated = self._aggregate(logits_list, protos_list, counts_list)
-        result = self._filter(aggregated)
-        server_loss = self._server_phase(aggregated, result)
-        self._client_public_phase(participants, result)
-        return {
-            "server_loss": server_loss,
-            "num_selected": float(result.num_selected),
-            "proto_coverage": float(prototype_coverage(self.global_prototypes).mean()),
-        }
-
-    # ------------------------------------------------------------------
-    # async engine protocol (repro.fl.async_engine)
-    #
-    # The sync round above is the bit-identical reference: per-client work
-    # (local training + dual-knowledge uplink) against a dispatch-time
-    # server snapshot, then a buffered server update with per-contribution
-    # staleness discounts.  With zero delays, a full buffer and all-ones
-    # weights the async engine replays exactly the sequence of operations
-    # run_round performs.
-    # ------------------------------------------------------------------
-    supports_async = True
-
-    def async_dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
-        """Server state a dispatch is computed against (frozen per version)."""
-        protos = self.global_prototypes
-        return {
-            "global_prototypes": None if protos is None else protos.copy()
-        }
+    def async_dispatch_state(self) -> Dict[str, np.ndarray]:
+        if self.global_prototypes is None:
+            return {}
+        return {"global_prototypes": self.global_prototypes.copy()}
 
     def async_client_work(
-        self, participants: List[FLClient], snapshot: Dict
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """One dispatched client's uplink contribution (lazy, at event pop).
-
-        ``participants`` is a single-client list the engine may shrink in
-        place on a runtime dropout, mirroring :meth:`run_round`'s phases;
-        returns ``None`` when the client dropped mid-work.
-        """
-        self._client_local_phase(
-            participants, prototypes=snapshot.get("global_prototypes")
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        """Local training, then the dual-knowledge uplink: logits on the
+        public set + prototypes + class counts."""
+        self._client_local_phase(participants, snapshot.get("global_prototypes"))
+        knowledge = self.map_clients(
+            participants,
+            "public_knowledge",
+            {"x": PUBLIC_X},
+            stage="public_knowledge",
         )
-        logits_list, protos_list, counts_list = self._collect_dual_knowledge(
-            participants
-        )
-        if not participants:
-            return None
-        return {
-            "logits": logits_list[0],
-            "prototypes": protos_list[0],
-            "class_counts": counts_list[0],
-        }
+        contributions = []
+        for client, bundle in zip(participants, knowledge):
+            # the server sees the (possibly lossy) wire version
+            logits, wire_logits = roundtrip(
+                bundle["logits"], self.config.logit_compression
+            )
+            protos = bundle["prototypes"]
+            counts = bundle["class_counts"]
+            present = prototype_coverage(protos)
+            self.channel.upload(
+                client.client_id,
+                {
+                    "logits": wire_logits,
+                    "prototypes": protos[present],
+                    "class_counts": counts,
+                },
+            )
+            contributions.append(
+                {"logits": logits, "prototypes": protos, "class_counts": counts}
+            )
+        return contributions
 
     def async_server_update(
         self,
@@ -408,16 +354,10 @@ class FedPKD(FederatedAlgorithm):
         client_weights: List[float],
         contributors: List[FLClient],
     ) -> Dict[str, float]:
-        """Fold one buffer of contributions into the server (one round)."""
-        aggregated = self._aggregate(
-            [c["logits"] for c in contributions],
-            [c["prototypes"] for c in contributions],
-            [c["class_counts"] for c in contributions],
-            client_weights=client_weights,
-        )
+        aggregated = self._aggregate(contributions, client_weights)
         result = self._filter(aggregated)
         server_loss = self._server_phase(aggregated, result)
-        self._client_public_phase(list(contributors), result)
+        self._client_public_phase(contributors, result)
         return {
             "server_loss": server_loss,
             "num_selected": float(result.num_selected),

@@ -1,6 +1,6 @@
 """Event-driven asynchronous round engine with staleness-aware aggregation.
 
-The synchronous engine (:meth:`~repro.fl.simulation.FederatedAlgorithm.run`)
+The synchronous round (:meth:`~repro.fl.simulation.FederatedAlgorithm.run_round`)
 imposes a barrier: every participant must finish before the server moves.
 One straggler therefore stalls the whole federation.  This module replaces
 the barrier with an event loop over a **virtual clock**:
@@ -22,24 +22,29 @@ the barrier with an event loop over a **virtual clock**:
   aggregation bumps the server version and counts as one round for
   evaluation/recording purposes.
 
-**Degenerate-mode contract** — with ``max_staleness=0``, a full buffer
-(``buffer_size=None``), and no fault plan, this engine replays exactly the
-operation sequence of the synchronous engine and produces a bit-identical
-:class:`~repro.fl.metrics.RunHistory` (modulo wall-time extras).  The
-equivalence is CI-enforced; it holds because the engine shares the sync
-loop's record path (``_collect_round_costs`` / ``_record_if_due``), the
-participation sampler's draw order, and aggregation rules that short-
-circuit to the undiscounted code when every weight is 1.0.
-
-Algorithms opt in by setting ``supports_async = True`` and implementing
-the three-method protocol (see :class:`~repro.core.fedpkd.FedPKD`):
+Every algorithm runs under this engine: it drives the same three round
+phases the synchronous round is built from (see
+:class:`~repro.fl.simulation.FederatedAlgorithm`):
 
 - ``async_dispatch_state() -> dict`` — server state a dispatch trains
   against, frozen per version;
-- ``async_client_work(participants, snapshot) -> contribution | None`` —
-  one client's uplink payload (``None`` = runtime dropout);
-- ``async_server_update(contributions, weights, contributors) -> extras``
-  — fold one buffer into the server.
+- ``async_client_work(participants, snapshot) -> [contribution]`` — called
+  with one client; an empty list is a runtime dropout;
+- ``async_server_update(contributions, client_weights, contributors) ->
+  extras`` — fold one buffer into the server.
+
+Attaching the engine (construction sets ``algo.async_engine``) makes
+:meth:`~repro.fl.simulation.FederatedAlgorithm.run` step the engine once
+per round; :meth:`AsyncRoundEngine.run` is that same loop.
+
+**Degenerate-mode contract** — with ``max_staleness=0``, a full buffer
+(``buffer_size=None``), and no fault plan, this engine replays exactly the
+operation sequence of the synchronous round and produces a bit-identical
+:class:`~repro.fl.metrics.RunHistory` (modulo wall-time extras).  The
+equivalence is CI-enforced for all nine algorithms; it holds because both
+engines share one run loop and record path, the participation sampler's
+draw order, and server updates that take the undiscounted arithmetic when
+every weight is 1.0.
 
 Checkpointing: the engine registers itself as ``algo.async_engine`` and
 :mod:`repro.fl.checkpoint` persists its state (clock, version, in-flight
@@ -51,7 +56,6 @@ are stateless, so no extra RNG state is needed.  See docs/ASYNC.md.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -88,8 +92,7 @@ class AsyncRoundEngine:
     Parameters
     ----------
     algo:
-        A :class:`~repro.fl.simulation.FederatedAlgorithm` with
-        ``supports_async = True``.
+        Any :class:`~repro.fl.simulation.FederatedAlgorithm`.
     max_staleness:
         Contributions older than this many server versions at arrival are
         dropped (and never computed).  0 keeps only same-version work.
@@ -114,11 +117,6 @@ class AsyncRoundEngine:
         buffer_size: Optional[int] = None,
         fault_plan=None,
     ) -> None:
-        if not getattr(algo, "supports_async", False):
-            raise ValueError(
-                f"algorithm '{algo.name}' does not implement the async "
-                "engine protocol (supports_async is not set)"
-            )
         if max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
         if not 0.0 < staleness_alpha <= 1.0:
@@ -143,7 +141,7 @@ class AsyncRoundEngine:
         # no in-flight dispatch references them
         self._snapshots: Dict[int, dict] = {}
         self._snapshot_refs: Dict[int, int] = {}
-        # the checkpoint layer looks this attribute up by name
+        # the run loop and the checkpoint layer look this attribute up
         algo.async_engine = self
 
     @classmethod
@@ -174,6 +172,21 @@ class AsyncRoundEngine:
     @property
     def in_flight(self) -> int:
         return len(self._heap)
+
+    def _knobs(self) -> dict:
+        """The knobs a checkpoint must be resumed under."""
+        return {
+            "max_staleness": self.max_staleness,
+            "staleness_alpha": self.staleness_alpha,
+            "buffer_size": self.buffer_size,
+            "fault_plan": self.plan.to_dict() if self.plan else None,
+        }
+
+    def trace_attrs(self) -> dict:
+        """The engine and its knobs, as attributes of the ``run`` span."""
+        attrs = {"engine": self.name, **self._knobs()}
+        attrs["fault_plan"] = self.plan.describe() if self.plan else None
+        return attrs
 
     @property
     def _tracer(self):
@@ -312,15 +325,15 @@ class AsyncRoundEngine:
                 self._metrics.counter("engine/dropped_contributions").inc()
             return
         participants = [algo.clients[dispatch.client_id]]
-        contribution = algo.async_client_work(participants, snapshot)
-        if contribution is None:
+        contributions = algo.async_client_work(participants, snapshot)
+        if not contributions:
             # runtime dropout (already recorded via map_clients)
             return
         self._buffer.append(
             {
                 "client_id": dispatch.client_id,
                 "version": dispatch.version,
-                "data": contribution,
+                "data": contributions[0],
             }
         )
         if staleness > 0 and self._metrics.enabled:
@@ -390,9 +403,6 @@ class AsyncRoundEngine:
         self._dispatch_wave()
         return extras
 
-    # ------------------------------------------------------------------
-    # the run loop — mirrors FederatedAlgorithm.run() record-for-record
-    # ------------------------------------------------------------------
     def run(
         self,
         rounds: int,
@@ -402,67 +412,12 @@ class AsyncRoundEngine:
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
     ) -> RunHistory:
-        """Run ``rounds`` aggregations, recording metrics.
-
-        The signature, autosave behaviour, and record path are identical
-        to :meth:`~repro.fl.simulation.FederatedAlgorithm.run` — a round
-        here is one buffered aggregation.
-        """
-        algo = self.algo
-        if checkpoint_every is None:
-            checkpoint_every = getattr(algo.federation, "checkpoint_every", 0)
-        if checkpoint_path is None:
-            checkpoint_path = getattr(algo.federation, "checkpoint_path", None)
-        autosave = bool(
-            checkpoint_every and checkpoint_every > 0 and checkpoint_path
+        """Run ``rounds`` aggregations: the algorithm's own run loop
+        (:meth:`~repro.fl.simulation.FederatedAlgorithm.run`), which
+        steps this engine once per round."""
+        return self.algo.run(
+            rounds, eval_every, history, verbose, checkpoint_every, checkpoint_path
         )
-        if autosave:
-            from .checkpoint import save_checkpoint
-        if history is None:
-            history = RunHistory(
-                algo.name, dataset=algo.bundle.name, config={"rounds": rounds}
-            )
-        tracer = algo.tracer
-        with algo.obs.profile_session(), tracer.span(
-            "run",
-            scope="run",
-            attrs={
-                "algorithm": algo.name,
-                "rounds": rounds,
-                "eval_every": eval_every,
-                "start_round": algo.round_index,
-                "num_clients": algo.federation.num_clients,
-                "executor": algo.executor.name,
-                "engine": self.name,
-                "max_staleness": self.max_staleness,
-                "staleness_alpha": self.staleness_alpha,
-                "buffer_size": self.buffer_size,
-                "fault_plan": self.plan.describe() if self.plan else None,
-            },
-        ):
-            for r in range(rounds):
-                start = time.perf_counter()
-                with tracer.span("round", scope="round") as round_span:
-                    round_span.set_attr("round", algo.round_index + 1)
-                    round_span.set_attr("engine", self.name)
-                    extras = self._run_engine_round()
-                algo.round_index += 1
-                algo._collect_round_costs(time.perf_counter() - start)
-                final_round = r == rounds - 1
-                algo._record_if_due(
-                    history, extras, final_round, eval_every, verbose
-                )
-                if autosave and (
-                    final_round or algo.round_index % checkpoint_every == 0
-                ):
-                    save_checkpoint(algo, checkpoint_path, history=history)
-                # round boundary: evict the registry's live set back to
-                # its budget (in-flight dispatches hold no client refs —
-                # arrival-time compute re-materialises on demand)
-                algo.federation.settle_clients()
-        algo.obs.publish_profile()
-        algo.obs.export_metrics()
-        return history
 
     # ------------------------------------------------------------------
     # exact-resume state (persisted by repro.fl.checkpoint)
@@ -505,12 +460,7 @@ class AsyncRoundEngine:
                 for entry in self._buffer
             ],
             "snapshot_versions": sorted(self._snapshots),
-            "config": {
-                "max_staleness": self.max_staleness,
-                "staleness_alpha": self.staleness_alpha,
-                "buffer_size": self.buffer_size,
-                "fault_plan": self.plan.to_dict() if self.plan else None,
-            },
+            "config": self._knobs(),
         }
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
@@ -521,8 +471,7 @@ class AsyncRoundEngine:
                 arrays[f"buffer{i}::{key}"] = np.asarray(value)
         for version, snapshot in self._snapshots.items():
             for key, value in snapshot.items():
-                if value is not None:
-                    arrays[f"snapshot{version}::{key}"] = np.asarray(value)
+                arrays[f"snapshot{version}::{key}"] = np.asarray(value)
         return arrays
 
     def load_state_dict(
@@ -536,13 +485,7 @@ class AsyncRoundEngine:
         discounts) without any visible error.
         """
         saved = state.get("config", {})
-        live = {
-            "max_staleness": self.max_staleness,
-            "staleness_alpha": self.staleness_alpha,
-            "buffer_size": self.buffer_size,
-            "fault_plan": self.plan.to_dict() if self.plan else None,
-        }
-        for key, value in live.items():
+        for key, value in self._knobs().items():
             if key in saved and saved[key] != value:
                 raise ValueError(
                     f"async-engine checkpoint mismatch: '{key}' was "

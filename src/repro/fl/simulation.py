@@ -1,11 +1,17 @@
-"""Federation construction and the synchronous round engine.
+"""Federation construction, the round protocol, and the run loop.
 
 :func:`build_federation` turns a data bundle plus a
 :class:`~repro.fl.config.FederationConfig` into concrete clients and a
 server.  :class:`FederatedAlgorithm` is the base class every algorithm
-(FedPKD and the six baselines) derives from: subclasses implement
-``run_round`` and the engine handles evaluation, communication snapshots,
-failure injection, and history recording.
+(FedPKD and the eight baselines) derives from.  An algorithm is three
+phases — ``async_dispatch_state`` → ``async_client_work`` →
+``async_server_update`` — and :meth:`FederatedAlgorithm.run` drives them
+under either engine: a synchronous round is the degenerate asynchronous
+one (every participant dispatched against one snapshot, every weight
+1.0), and with an :class:`~repro.fl.async_engine.AsyncRoundEngine`
+attached each round is one buffered aggregation instead.  The loop
+handles evaluation, communication snapshots, failure injection,
+checkpointing and history recording for both.
 """
 
 from __future__ import annotations
@@ -212,9 +218,11 @@ def build_federation(
 
 
 class FederatedAlgorithm:
-    """Base class for synchronous FL algorithms.
+    """Base class for FL algorithms.
 
-    Subclasses implement :meth:`run_round`, using ``self.federation`` for
+    Subclasses implement the three round phases
+    (:meth:`async_dispatch_state`, :meth:`async_client_work`,
+    :meth:`async_server_update`), using ``self.federation`` for
     clients/server/public data and ``self.channel`` for every transfer.
     Per-client stages should go through :meth:`map_clients`, which routes
     them to the federation's executor (serial or parallel) and turns
@@ -222,11 +230,6 @@ class FederatedAlgorithm:
     """
 
     name = "base"
-
-    # Algorithms that implement the async-engine protocol
-    # (async_dispatch_state / async_client_work / async_server_update; see
-    # repro.fl.async_engine) flip this on.  The sync engine ignores it.
-    supports_async = False
 
     def __init__(self, federation: Federation, seed: int = 0) -> None:
         self.federation = federation
@@ -326,11 +329,54 @@ class FederatedAlgorithm:
         return values
 
     # ------------------------------------------------------------------
-    # the round contract
+    # the round protocol: three phases, driven by both engines
     # ------------------------------------------------------------------
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        """Execute one communication round; return optional extra metrics."""
+    def async_dispatch_state(self) -> Dict[str, np.ndarray]:
+        """Server state client work trains against, as frozen copies.
+
+        The async engine takes one snapshot per server version, may hold
+        it while the server moves on, and checkpoints it, so the arrays
+        must not alias live server state.  The default is stateless.
+        """
+        return {}
+
+    def async_client_work(
+        self, participants: List[FLClient], snapshot: Dict[str, np.ndarray]
+    ) -> List[Dict[str, np.ndarray]]:
+        """Client work and uplink against ``snapshot``.
+
+        Returns one flat ``{name: ndarray}`` contribution per client
+        (scalars as 0-d arrays), aligned with ``participants`` after
+        :meth:`map_clients` has dropped runtime failures from it in place.
+        """
         raise NotImplementedError
+
+    def async_server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        """Fold contributions into the server; return the round's extras.
+
+        ``client_weights`` are the async engine's staleness discounts.
+        When every weight is 1.0 the update must take exactly the
+        arithmetic of an undiscounted round.
+        """
+        raise NotImplementedError
+
+    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+        """One synchronous round: every participant works against the same
+        snapshot, and the server folds all of it in at unit weight."""
+        snapshot = self.async_dispatch_state()
+        contributions = self.async_client_work(participants, snapshot)
+        if not contributions:
+            # nobody sampled, or every participant dropped: the round
+            # counts, but there is nothing to fold into the server
+            return {"participants": 0.0}
+        return self.async_server_update(
+            contributions, [1.0] * len(contributions), participants
+        )
 
     # ------------------------------------------------------------------
     # algorithm-specific cross-round state (exact-resume checkpointing)
@@ -391,22 +437,6 @@ class FederatedAlgorithm:
             with prof.model(getattr(client, "model_name", None)):
                 accs.append(client.evaluate())
         return accs
-
-    # ------------------------------------------------------------------
-    # round bookkeeping shared by the sync loop and the async engine
-    # (repro.fl.async_engine) — the record path must be byte-identical
-    # between the two for the engines' equivalence contract to hold
-    # ------------------------------------------------------------------
-    def _collect_round_costs(self, wall_seconds: float) -> None:
-        """Fold one completed round's costs into the pending accumulators."""
-        self._pending_wall_time += wall_seconds
-        for stage_name, seconds in self.executor.pop_stage_times().items():
-            self._pending_stage_times[stage_name] = (
-                self._pending_stage_times.get(stage_name, 0.0) + seconds
-            )
-        self._pending_dropouts += self.dropout_log.count_for_round(
-            self.round_index
-        )
 
     def _record_if_due(
         self,
@@ -503,7 +533,13 @@ class FederatedAlgorithm:
         or ``metrics_path=...``), each round and evaluation is traced as a
         span and the metrics-registry snapshot is merged into every
         record's ``extras``.
+
+        With an :class:`~repro.fl.async_engine.AsyncRoundEngine` attached
+        (``self.async_engine``), a round is one buffered aggregation of
+        that engine; otherwise it is :meth:`run_round` over this round's
+        :meth:`active_clients`.
         """
+        engine = getattr(self, "async_engine", None)
         if checkpoint_every is None:
             checkpoint_every = getattr(self.federation, "checkpoint_every", 0)
         if checkpoint_path is None:
@@ -517,31 +553,43 @@ class FederatedAlgorithm:
                 self.name, dataset=self.bundle.name, config={"rounds": rounds}
             )
         tracer = self.tracer
+        run_attrs = {
+            "algorithm": self.name,
+            "rounds": rounds,
+            "eval_every": eval_every,
+            "start_round": self.round_index,
+            "num_clients": self.federation.num_clients,
+            "executor": self.executor.name,
+        }
+        if engine is not None:
+            run_attrs.update(engine.trace_attrs())
         # wall time, per-stage timings, and runtime dropouts accumulate
         # across the rounds between evaluations (and across an interrupted
         # run via pending_state), so each RoundRecord covers everything
         # since the previous record even when eval_every > 1
         with self.obs.profile_session(), tracer.span(
-            "run",
-            scope="run",
-            attrs={
-                "algorithm": self.name,
-                "rounds": rounds,
-                "eval_every": eval_every,
-                "start_round": self.round_index,
-                "num_clients": self.federation.num_clients,
-                "executor": self.executor.name,
-            },
+            "run", scope="run", attrs=run_attrs
         ):
             for r in range(rounds):
                 start = time.perf_counter()
                 with tracer.span("round", scope="round") as round_span:
-                    participants = self.active_clients()
                     round_span.set_attr("round", self.round_index + 1)
-                    round_span.set_attr("participants", len(participants))
-                    extras = self.run_round(participants) or {}
+                    if engine is None:
+                        participants = self.active_clients()
+                        round_span.set_attr("participants", len(participants))
+                        extras = self.run_round(participants) or {}
+                    else:
+                        round_span.set_attr("engine", engine.name)
+                        extras = engine._run_engine_round()
                 self.round_index += 1
-                self._collect_round_costs(time.perf_counter() - start)
+                self._pending_wall_time += time.perf_counter() - start
+                for stage_name, seconds in self.executor.pop_stage_times().items():
+                    self._pending_stage_times[stage_name] = (
+                        self._pending_stage_times.get(stage_name, 0.0) + seconds
+                    )
+                self._pending_dropouts += self.dropout_log.count_for_round(
+                    self.round_index
+                )
                 final_round = r == rounds - 1
                 self._record_if_due(
                     history, extras, final_round, eval_every, verbose
@@ -551,7 +599,8 @@ class FederatedAlgorithm:
                 ):
                     save_checkpoint(self, checkpoint_path, history=history)
                 # round boundary: shrink the registry's live set back to
-                # its budget (references handed out above are now dead)
+                # its budget (references handed out above are now dead;
+                # in-flight async dispatches hold client ids, not clients)
                 self.federation.settle_clients()
         self.obs.publish_profile()
         self.obs.export_metrics()

@@ -20,8 +20,9 @@ currently reporting on:
 - **run-key drift** — every ``FederationConfig`` field must be
   classified in ``CONFIG_FIELD_CLASSIFICATION`` and the key/runtime/
   managed categories must agree with the sweep normalisation tuples;
-- **async protocol** — ``supports_async = True`` implementors must
-  match the three-method engine protocol signatures exactly.
+- **round protocol** — every definition of a round-phase method must
+  match the three-method protocol's signatures exactly, and no
+  algorithm may override the ``run_round`` glue built from them.
 
 The model is rebuilt from summaries on every pass (it is cheap — no
 parsing); only the summaries themselves are cached per file.
@@ -77,12 +78,15 @@ BASE_MANAGED_ATTRS = frozenset(
     }
 )
 
-#: The async round-engine protocol: method name → exact parameter list.
+#: The round protocol both engines drive: method name → exact parameter list.
 ASYNC_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "async_dispatch_state": ("self",),
     "async_client_work": ("self", "participants", "snapshot"),
     "async_server_update": ("self", "contributions", "client_weights", "contributors"),
 }
+
+#: Packages whose algorithms must be written in the round protocol only.
+_PROTOCOL_ALGORITHM_PACKAGES = ("repro.core", "repro.baselines")
 
 _EXTRA_STATE_EXEMPT_METHODS = frozenset(
     {"__init__", "__post_init__", "load_extra_state", "load_pending_state", "load_state_dict"}
@@ -789,50 +793,51 @@ class ProjectModel:
         return findings
 
     # ------------------------------------------------------------------
-    # async protocol conformance
+    # round protocol conformance
     # ------------------------------------------------------------------
     def async_protocol_findings(self) -> List[dict]:
         if "async" in self._analyses:
             return self._analyses["async"]
         findings: List[dict] = []
+        algorithms = set(self.subclasses_of("FederatedAlgorithm"))
         for fullname, entry in sorted(self.classes.items()):
-            assign = entry["summary"].get("class_assigns", {}).get("supports_async")
-            if assign is None or assign.get("const") is not True:
-                continue
             basename = fullname.rsplit(".", 1)[-1]
+            methods = entry["summary"].get("methods", {})
             for mname, expected in sorted(ASYNC_PROTOCOL.items()):
-                found = self.find_method(fullname, mname)
-                if found is None:
+                ms = methods.get(mname)
+                if ms is not None and tuple(ms["params"]) != expected:
                     findings.append(
                         {
                             "module": entry["module"],
-                            "line": assign["line"],
-                            "col": 0,
-                            "lines": [],
-                            "message": (
-                                f"{basename} sets supports_async = True but does "
-                                f"not define {mname}({', '.join(expected)}) — the "
-                                "async engine would fail at dispatch"
-                            ),
-                        }
-                    )
-                    continue
-                cls, _ = found
-                ms = self.classes[cls]["summary"]["methods"][mname]
-                if tuple(ms["params"]) != expected:
-                    findings.append(
-                        {
-                            "module": self.classes[cls]["module"],
                             "line": ms["line"],
                             "col": 0,
                             "lines": [],
                             "message": (
-                                f"{cls.rsplit('.', 1)[-1]}.{mname} signature "
+                                f"{basename}.{mname} signature "
                                 f"({', '.join(ms['params'])}) does not match the "
-                                f"async protocol ({', '.join(expected)})"
+                                f"round protocol ({', '.join(expected)})"
                             ),
                         }
                     )
+            ms = methods.get("run_round")
+            if (
+                ms is not None
+                and fullname in algorithms
+                and _has_prefix(entry["module"], _PROTOCOL_ALGORITHM_PACKAGES)
+            ):
+                findings.append(
+                    {
+                        "module": entry["module"],
+                        "line": ms["line"],
+                        "col": 0,
+                        "lines": [],
+                        "message": (
+                            f"{basename} overrides run_round — write the round "
+                            "as the three protocol phases, or the async engine "
+                            "runs a different algorithm than the sync round"
+                        ),
+                    }
+                )
         findings = _dedupe(findings)
         self._analyses["async"] = findings
         return findings

@@ -6,8 +6,7 @@ analyses need, so the original source never has to be re-parsed:
 
 - the import table (local name → dotted target, relative imports
   resolved against the module's own dotted name);
-- a class model: bases, decorators, dataclass fields, class-level
-  constant assignments (``supports_async = True``), and per-method
+- a class model: bases, decorators, dataclass fields, and per-method
   ``self.*`` stores/loads including nested ``self.owner.attr`` writes
   and dynamic ``__dict__``/``setattr`` escapes;
 - module-level tuple/dict constants (run-key field lists, the config
@@ -623,23 +622,10 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
     is_dataclass = any(dec and dec[-1] == "dataclass" for dec in decorators)
 
     fields: List[dict] = []
-    class_assigns: Dict[str, dict] = {}
     methods: Dict[str, dict] = {}
     for stmt in cnode.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             fields.append({"name": stmt.target.id, "line": stmt.lineno})
-        elif isinstance(stmt, ast.Assign):
-            const = (
-                stmt.value.value
-                if isinstance(stmt.value, ast.Constant)
-                else None
-            )
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    class_assigns[target.id] = {
-                        "line": stmt.lineno,
-                        "const": const,
-                    }
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods[stmt.name] = _method_summary(stmt)
 
@@ -650,7 +636,6 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
         "decorators": decorators,
         "is_dataclass": is_dataclass,
         "fields": fields,
-        "class_assigns": class_assigns,
         "methods": methods,
     }
 

@@ -16,8 +16,8 @@ Packs:
   ``FederatedAlgorithm`` (``extra_state`` round-trip) and the
   optimizer/scheduler family (``state_dict`` round-trip);
 - ``flow-config`` — sweep run-key drift for ``FederationConfig`` fields
-  and async-protocol signature conformance for ``supports_async``
-  implementors.
+  and round-protocol conformance (phase-method signatures, no
+  ``run_round`` override in an algorithm).
 """
 
 from __future__ import annotations
@@ -135,16 +135,17 @@ def check_flow_run_key_drift(ctx):
     "flow-async-protocol",
     pack="flow-config",
     severity="error",
-    summary="supports_async implementor does not match the engine protocol",
+    summary="round-phase method or run_round override breaks the round protocol",
     description=(
-        "The async round engine dispatches to exactly three methods: "
-        "`async_dispatch_state(self)`, `async_client_work(self, "
+        "Both round engines drive an algorithm through exactly three "
+        "methods: `async_dispatch_state(self)`, `async_client_work(self, "
         "participants, snapshot)` and `async_server_update(self, "
-        "contributions, client_weights, contributors)`. A class that "
-        "declares `supports_async = True` but is missing one of them, or "
-        "defines it with renamed/re-ordered parameters, fails at dispatch "
-        "time deep inside a run. Signatures are checked through the "
-        "inheritance chain against the exact protocol parameter names."
+        "contributions, client_weights, contributors)`; `run_round` is "
+        "base-class glue over them. A definition of one of the three with "
+        "renamed/re-ordered parameters fails at dispatch time deep inside "
+        "a run, and an algorithm in repro.core/repro.baselines that "
+        "overrides `run_round` would run a different round under the "
+        "async engine than under the sync one."
     ),
     packages=("repro.core", "repro.baselines", "repro.fl"),
     requires_project=True,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,26 @@ def tiny_federation(tiny_bundle):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def assert_histories_identical(a, b):
+    """Two run histories match bit for bit, except wall-clock extras.
+
+    Compares round indices, server accuracy (NaN-aware: server-model-free
+    algorithms report NaN), per-client accuracies, comm bytes and every
+    extra but the ``time/*`` stage timings.
+    """
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert ra.round_index == rb.round_index
+        assert ra.server_acc == rb.server_acc or (
+            math.isnan(ra.server_acc) and math.isnan(rb.server_acc)
+        )
+        assert ra.client_accs == rb.client_accs
+        assert ra.comm_uplink_bytes == rb.comm_uplink_bytes
+        assert ra.comm_downlink_bytes == rb.comm_downlink_bytes
+        assert _deterministic_extras(ra) == _deterministic_extras(rb)
+
+
+def _deterministic_extras(record):
+    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}

@@ -97,6 +97,26 @@ class TestEntropyReduction:
         with pytest.raises(ValueError):
             entropy_reduction_aggregate([np.zeros((2, 3))], temperature=0.0)
 
+    def test_client_weights(self):
+        rng = np.random.default_rng(2)
+        logits = [rng.normal(size=(8, 4)) for _ in range(3)]
+        plain = entropy_reduction_aggregate(logits)
+        # unit weights take the plain mean bit for bit
+        np.testing.assert_array_equal(
+            entropy_reduction_aggregate(logits, client_weights=[1.0] * 3), plain
+        )
+        # a zero weight drops the client; uniform weights match the mean
+        np.testing.assert_allclose(
+            entropy_reduction_aggregate(logits, client_weights=[0.5, 0.0, 0.5]),
+            entropy_reduction_aggregate([logits[0], logits[2]]),
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            entropy_reduction_aggregate(logits, client_weights=[0.25] * 3),
+            plain,
+            atol=1e-12,
+        )
+
 
 @given(LOGIT_SETS)
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@
 The load-bearing contract is ``test_degenerate_mode_bit_identical``: the
 async engine with ``max_staleness=0``, a full buffer, and no fault plan
 must reproduce the synchronous engine's history bit-for-bit (CI enforces
-this).  Everything else — buffered aggregation, staleness discounts,
+this; the invariance matrix checks it for all nine algorithms).  Everything else — buffered aggregation, staleness discounts,
 injected faults, exact resume mid-pipeline — builds on that baseline.
 """
 
@@ -23,7 +23,8 @@ from repro.fl import (
 )
 from repro.fl.simulation import FederatedAlgorithm
 
-from ..conftest import make_tiny_federation
+from ..conftest import assert_histories_identical, make_tiny_federation
+from . import invariance_fixture
 
 
 def fast_config(**overrides):
@@ -48,25 +49,6 @@ def make_fedpkd(bundle, num_clients=3, seed=0, **fed_kwargs):
     return FedPKD(fed, config=fast_config(), seed=seed)
 
 
-def _deterministic_extras(record):
-    """Record extras minus the wall-clock-dependent ``time/*`` keys."""
-    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
-
-
-def assert_histories_identical(a, b):
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.round_index == rb.round_index
-        # server-model-free algorithms (e.g. FedProto) report NaN server_acc
-        assert ra.server_acc == rb.server_acc or (
-            np.isnan(ra.server_acc) and np.isnan(rb.server_acc)
-        )
-        assert ra.client_accs == rb.client_accs
-        assert ra.comm_uplink_bytes == rb.comm_uplink_bytes
-        assert ra.comm_downlink_bytes == rb.comm_downlink_bytes
-        assert _deterministic_extras(ra) == _deterministic_extras(rb)
-
-
 CHAOS_PLAN = {
     "seed": 3,
     "faults": [
@@ -86,12 +68,17 @@ CHAOS_PLAN = {
 
 
 class TestConstruction:
-    def test_rejects_non_async_algorithm(self, tiny_federation):
-        class _Sync(FederatedAlgorithm):
-            name = "sync_only"
+    def test_phase_less_algorithm_fails_loudly(self, tiny_bundle):
+        class _PhaseLess(FederatedAlgorithm):
+            name = "phase_less"
 
-        with pytest.raises(ValueError, match="async"):
-            AsyncRoundEngine(_Sync(tiny_federation))
+        for engine in ("sync", "async"):
+            fed = make_tiny_federation(tiny_bundle)
+            algo = _PhaseLess(fed)
+            runner = AsyncRoundEngine(algo) if engine == "async" else algo
+            with pytest.raises(NotImplementedError):
+                runner.run(1)
+            fed.close()
 
     def test_validates_knobs(self, tiny_bundle):
         algo = make_fedpkd(tiny_bundle)
@@ -454,7 +441,7 @@ class TestHarnessIntegration:
 
 
 class TestFedProtoAsync:
-    """FedProto is the second real supports_async implementor."""
+    """FedProto: the prototype-only path of the round protocol."""
 
     def _make(self, bundle, seed=0):
         from repro.baselines import FedProto, FedProtoConfig
@@ -506,3 +493,42 @@ class TestFedProtoAsync:
 
         assert len(h_delayed.records) == len(h_ref.records)
         assert delayed.global_prototypes is not None
+
+
+class TestEveryAlgorithm:
+    """All nine algorithms run buffered, stale and faulty async rounds."""
+
+    @pytest.mark.parametrize("algorithm", invariance_fixture.ALGORITHMS)
+    def test_stale_chaos_resume_is_bit_identical(self, algorithm, tmp_path):
+        bundle = invariance_fixture.make_bundle()
+        knobs = dict(
+            engine="async", max_staleness=2, buffer_size=2,
+            fault_plan={
+                "seed": 3,
+                "faults": [
+                    {"kind": "straggler", "client_id": 2, "factor": 2.5},
+                    {"kind": "crash", "client_id": 1, "round": 1},
+                ],
+            },
+            metrics_path=str(tmp_path / "m.jsonl"),
+        )
+        ckpt = str(tmp_path / "async.ckpt.npz")
+
+        engine, fed = invariance_fixture.build(algorithm, bundle, **knobs)
+        h_full = engine.run(5)
+        # discounted (weight < 1) contributions were folded in
+        assert fed.obs.metrics.snapshot()["engine/stale_contributions"] > 0
+        fed.close()
+
+        engine, fed = invariance_fixture.build(algorithm, bundle, **knobs)
+        engine.run(3, checkpoint_every=3, checkpoint_path=ckpt)
+        fed.close()
+
+        engine, fed = invariance_fixture.build(algorithm, bundle, **knobs)
+        done = load_checkpoint(engine.algo, ckpt)
+        h_tail = engine.run(5 - done, history=load_history(ckpt))
+        fed.close()
+
+        # digests leave out the metrics registry's wall-clock gauges
+        digests = invariance_fixture.history_digests
+        assert digests(h_full) == digests(h_tail)

@@ -18,8 +18,7 @@ from repro.fl.async_engine import AsyncRoundEngine
 from repro.fl.checkpoint import load_checkpoint, read_checkpoint_meta
 from repro.obs import validate_trace_file
 
-from ..conftest import make_tiny_federation
-from .test_exact_resume import assert_bit_identical
+from ..conftest import assert_histories_identical, make_tiny_federation
 
 ROUNDS = 4
 
@@ -89,7 +88,7 @@ def test_async_resume_is_bit_identical(tmp_path):
         setting, "fedpkd", rounds=ROUNDS, eval_every=1, resume=True
     )
 
-    assert_bit_identical(full, resumed)
+    assert_histories_identical(full, resumed)
 
 
 def _make_async(bundle):

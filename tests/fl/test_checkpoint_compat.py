@@ -22,9 +22,8 @@ from repro.fl.checkpoint import (
     save_checkpoint,
 )
 
-from ..conftest import make_tiny_federation
+from ..conftest import assert_histories_identical, make_tiny_federation
 from . import v3_fixture
-from .test_exact_resume import assert_bit_identical
 
 
 def test_v3_bounded_fixture_resumes_bit_identically():
@@ -45,7 +44,7 @@ def test_v3_bounded_fixture_resumes_bit_identically():
         )
     finally:
         fed.close()
-    assert_bit_identical(full, resumed)
+    assert_histories_identical(full, resumed)
 
 
 def _bounded_algo(bundle):

@@ -9,14 +9,12 @@ federation, resume — the finished histories must match bit for bit
 serial and the parallel executor.
 """
 
-import math
-
 import pytest
 
 from repro.algorithms import build_algorithm
 from repro.fl.checkpoint import load_checkpoint, load_history
 
-from ..conftest import make_tiny_federation
+from ..conftest import assert_histories_identical, make_tiny_federation
 
 ROUNDS = 4
 
@@ -38,24 +36,6 @@ def _make_algo(bundle, algorithm, server_model, executor, **fed_kwargs):
         **fed_kwargs,
     )
     return build_algorithm(algorithm, fed, seed=0, epoch_scale=0.1), fed
-
-
-def _deterministic_extras(record):
-    """Extras minus wall-clock noise (``time/*`` stage timings)."""
-    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
-
-
-def assert_bit_identical(full, resumed):
-    assert len(full.records) == len(resumed.records)
-    for a, b in zip(full.records, resumed.records):
-        assert a.round_index == b.round_index
-        assert a.server_acc == b.server_acc or (
-            math.isnan(a.server_acc) and math.isnan(b.server_acc)
-        )
-        assert a.client_accs == b.client_accs
-        assert a.comm_uplink_bytes == b.comm_uplink_bytes
-        assert a.comm_downlink_bytes == b.comm_downlink_bytes
-        assert _deterministic_extras(a) == _deterministic_extras(b)
 
 
 @pytest.mark.parametrize("algorithm,server_model", CASES)
@@ -95,7 +75,7 @@ def test_resume_is_bit_identical(
     finally:
         fed.close()
 
-    assert_bit_identical(full, resumed)
+    assert_histories_identical(full, resumed)
 
 
 def test_resume_with_participation_dropout(tiny_bundle, tmp_path):
@@ -119,7 +99,7 @@ def test_resume_with_participation_dropout(tiny_bundle, tmp_path):
     done = load_checkpoint(algo, path)
     resumed = algo.run(ROUNDS - done, eval_every=1, history=load_history(path))
 
-    assert_bit_identical(full, resumed)
+    assert_histories_identical(full, resumed)
 
 
 def test_harness_resume_flow(tiny_bundle, tmp_path):
@@ -141,10 +121,10 @@ def test_harness_resume_flow(tiny_bundle, tmp_path):
         setting, "fedproto", rounds=ROUNDS, eval_every=1, resume=True
     )
 
-    assert_bit_identical(full, resumed)
+    assert_histories_identical(full, resumed)
 
     # resuming an already-finished run is a no-op returning the history
     again = run_algorithm(
         setting, "fedproto", rounds=ROUNDS, eval_every=1, resume=True
     )
-    assert_bit_identical(full, again)
+    assert_histories_identical(full, again)

@@ -33,9 +33,8 @@ from repro.fl.checkpoint import (
 )
 from repro.nn import build_model
 
-from ..conftest import make_tiny_federation
+from ..conftest import assert_histories_identical, make_tiny_federation
 from . import v3_fixture
-from .test_exact_resume import assert_bit_identical
 
 FEATURE_DIM = 16
 
@@ -255,7 +254,7 @@ class TestBoundedRunEquivalence:
     def test_bounded_registry_bit_identical_to_unbounded(self, tiny_bundle):
         unbounded = self._run(tiny_bundle)
         bounded = self._run(tiny_bundle, max_live_clients=1)
-        assert_bit_identical(unbounded, bounded)
+        assert_histories_identical(unbounded, bounded)
 
     def test_bounded_resume_bit_identical(self, tiny_bundle, tmp_path):
         path = str(tmp_path / "bounded.ckpt.npz")
@@ -282,7 +281,7 @@ class TestBoundedRunEquivalence:
         finally:
             fed.close()
 
-        assert_bit_identical(full, resumed)
+        assert_histories_identical(full, resumed)
 
     def test_reused_spill_dir_starts_empty(self, tiny_bundle, tmp_path):
         """A second run over the same explicit spill_dir must not hydrate
@@ -306,7 +305,7 @@ class TestBoundedRunEquivalence:
         assert any(name.endswith(".shard") for name in os.listdir(reused))
         (reused / "client00000002.shard.tmp.999").write_bytes(b"partial")
         second, second_stats = run(str(reused))
-        assert_bit_identical(fresh, second)
+        assert_histories_identical(fresh, second)
         assert second_stats["hydrations"] == fresh_stats["hydrations"]
 
     def test_async_bounded_resume_bit_identical(self, tmp_path):
@@ -352,7 +351,7 @@ class TestBoundedRunEquivalence:
             )
         finally:
             fed.close()
-        assert_bit_identical(full, resumed)
+        assert_histories_identical(full, resumed)
 
     def test_parallel_executor_rejected_with_bounded_registry(self):
         with pytest.raises(ValueError, match="parallel"):

@@ -111,10 +111,13 @@ class _CountingAlgorithm(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.rounds_run = 0
 
-    def run_round(self, participants):
+    def async_client_work(self, participants, snapshot):
         self.rounds_run += 1
         for c in participants:
             self.channel.upload(c.client_id, np.zeros(10))
+        return [{} for _ in participants]
+
+    def async_server_update(self, contributions, client_weights, contributors):
         return {"custom": 1.0}
 
 
@@ -139,9 +142,9 @@ class TestRoundEngine:
 
     def test_wall_time_accumulates_across_uneval_rounds(self, tiny_federation):
         class _Sleepy(_CountingAlgorithm):
-            def run_round(self, participants):
+            def async_client_work(self, participants, snapshot):
                 time.sleep(0.02)
-                return super().run_round(participants)
+                return super().async_client_work(participants, snapshot)
 
         algo = _Sleepy(tiny_federation)
         history = algo.run(rounds=2, eval_every=2)

@@ -1,50 +1,47 @@
 # lint-fixture-module: repro.baselines.fx_async
-"""supports_async implementors must match the engine's 3-method protocol.
+"""Round-phase methods must match the protocol; algorithms keep run_round.
 
-A missing protocol method is anchored at the ``supports_async`` opt-in; a
-signature mismatch is anchored at the offending method definition.  A
-class that opts *out* (``supports_async = False``) is never checked.
+Any class defining one of the three phase methods with renamed or
+re-ordered parameters is flagged at that definition.  A
+``FederatedAlgorithm`` subclass overriding the ``run_round`` glue is
+flagged at the override; a ``run_round`` on an unrelated class is not.
 """
 
-
-class IncompleteAlgo:
-    supports_async = True  # BAD
-
-    def async_dispatch_state(self):
-        return {}
-
-    def async_client_work(self, participants, snapshot):
-        return {}
+from ..fl.simulation import FederatedAlgorithm
 
 
-class WrongSignatureAlgo:
-    supports_async = True
-
+class WrongClientWorkAlgo(FederatedAlgorithm):
     def async_dispatch_state(self):
         return {}
 
     def async_client_work(self, participants):  # BAD
-        return {}
+        return []
 
     def async_server_update(self, contributions, client_weights, contributors):
         return {}
 
 
-class ConformingAlgo:
-    supports_async = True
+class WrongServerUpdateHelper:
+    def async_server_update(self, contributions, weights, contributors):  # BAD
+        return {}
 
+
+class HandWrittenRoundAlgo(FederatedAlgorithm):
+    def run_round(self, participants):  # BAD
+        return {}
+
+
+class ConformingAlgo(FederatedAlgorithm):
     def async_dispatch_state(self):
         return {}
 
     def async_client_work(self, participants, snapshot):
-        return {}
+        return []
 
     def async_server_update(self, contributions, client_weights, contributors):
         return {}
 
 
-class SyncOnlyAlgo:
-    supports_async = False
-
+class RoundCounter:
     def run_round(self, participants):
         return {}

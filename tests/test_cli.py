@@ -268,13 +268,15 @@ class TestAsyncEngineFlags:
         assert math.isfinite(payload["records"][0]["server_acc"])
         assert "S_acc=" in capsys.readouterr().out
 
-    def test_async_engine_rejects_unsupported_algorithm(self):
-        # fedavg never opted into the async protocol
-        with pytest.raises(ValueError, match="async"):
-            main([
-                "run", "--algorithm", "fedavg", "--scale", "tiny",
-                "--rounds", "1", "--engine", "async",
-            ])
+    def test_async_engine_runs_fedavg(self, tmp_path):
+        # every algorithm is written in the round protocol both engines drive
+        out = tmp_path / "history.json"
+        code = main([
+            "run", "--algorithm", "fedavg", "--scale", "tiny",
+            "--rounds", "1", "--engine", "async", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(json.loads(out.read_text())["records"]) == 1
 
     def test_retry_backoff_flag_parses(self, capsys):
         code = main([
