@@ -134,7 +134,7 @@ class RuntimeDropout:
     round_index: int
     client_id: int
     stage: str
-    reason: str  # "timeout" | "worker_death" | "error"
+    reason: str  # "timeout", "empty_shard", or "injected_*" from a FaultPlan
 
 
 class DropoutLog:

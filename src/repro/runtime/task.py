@@ -117,5 +117,5 @@ class TaskFailure:
 
     client_id: int
     stage: str
-    reason: str  # "timeout" | "worker_death" | "error"
+    reason: str  # "timeout" (a task that kills its workers reruns inline)
     detail: str = ""

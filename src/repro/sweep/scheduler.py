@@ -7,8 +7,8 @@ skips every run whose history is already in the :class:`ResultCache`
 (**cache hit** — zero training work), resumes runs that left an
 exact-resume checkpoint behind, and executes the rest either inline
 (``run_workers=1``, the deterministic default) or across a process pool
-(``run_workers>1``), mirroring the fault-tolerance contract of
-:mod:`repro.runtime`: a per-run timeout with bounded retries for
+(``run_workers>1``) through :mod:`repro.runtime.pool`, the supervisor
+the parallel executor uses too: a per-run timeout with bounded retries for
 infrastructure failures (worker death, hung run), while a deterministic
 exception inside a run is recorded as a **failed** run — its siblings
 complete and the sweep goes on.
@@ -26,14 +26,12 @@ sweep-level parallelism never races on artifacts.
 
 from __future__ import annotations
 
-import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..fl.metrics import RunHistory
+from ..runtime.pool import Lost, PoolSupervisor
 from .cache import ResultCache
 from .progress import SweepProgress, rounds_completed
 from .registry import RunRegistry
@@ -41,8 +39,8 @@ from .spec import RunSpec, SweepSpec
 
 __all__ = ["RunOutcome", "SweepResult", "SweepScheduler", "execute_run"]
 
-#: Seconds between progress polls while waiting on pool workers.
-_POLL_S = 0.5
+#: Registry error prefix of a run the pool supervisor gave up on.
+_LOST_ERRORS = {"timeout": "timeout:", "worker_death": "worker death: the run"}
 
 
 def _finite(value: Optional[float]) -> Optional[float]:
@@ -193,15 +191,15 @@ class SweepScheduler:
     ) -> None:
         if run_workers < 1:
             raise ValueError(f"run_workers must be >= 1, got {run_workers}")
-        if run_timeout_s is not None and run_timeout_s <= 0:
-            raise ValueError("run_timeout_s must be positive")
-        if run_retries < 0:
-            raise ValueError("run_retries must be >= 0")
+        self._supervisor = PoolSupervisor(
+            max_workers=run_workers,
+            timeout_s=run_timeout_s,
+            retries=run_retries,
+            prefix="run",
+        )
         self.spec = spec
         self.out_root = out_root
         self.run_workers = run_workers
-        self.run_timeout_s = run_timeout_s
-        self.run_retries = run_retries
         self.checkpoint_every = checkpoint_every
         self.trace = trace
         self.runtime_overrides = dict(runtime_overrides or {})
@@ -295,86 +293,39 @@ class SweepScheduler:
         return executed
 
     # ------------------------------------------------------------------
-    # pool execution (sharded runs, timeout/retry like repro.runtime)
+    # pool execution (sharded runs, the repro.runtime pool supervisor)
     # ------------------------------------------------------------------
     def _run_pool(self, runs, keys, payloads, progress) -> List[RunOutcome]:
-        n = len(runs)
         resumed_flags = [self._resumable(key) for key in keys]
-        raw: List[Optional[Dict[str, Any]]] = [None] * n
-        attempts = [0] * n
-        pool = ProcessPoolExecutor(max_workers=self.run_workers)
-        futures = {i: pool.submit(_pool_worker, payloads[i]) for i in range(n)}
         for key, run in zip(keys, runs):
             progress.transition(key, run.label(), "running")
-        pending = list(range(n))
+
+        def poll_traces(unresolved: List[int]) -> None:
+            for j in unresolved:
+                rounds = rounds_completed(self.cache.trace_path(keys[j]))
+                if rounds:
+                    progress.running_rounds(
+                        keys[j], runs[j].label(), rounds, runs[j].rounds
+                    )
+
         try:
-            while pending:
-                i = pending[0]
-                started = time.perf_counter()
-                while raw[i] is None:
-                    try:
-                        raw[i] = futures[i].result(timeout=_POLL_S)
-                        pending.pop(0)
-                    except FuturesTimeout:
-                        self._poll_traces(runs, keys, pending, progress)
-                        waited = time.perf_counter() - started
-                        if (
-                            self.run_timeout_s is not None
-                            and waited > self.run_timeout_s
-                        ):
-                            attempts[i] += 1
-                            pool = self._recycle(pool, futures, payloads, pending, raw)
-                            if attempts[i] > self.run_retries:
-                                raw[i] = {"ok": False, "error": (
-                                    f"timeout: no result within "
-                                    f"{self.run_timeout_s}s after "
-                                    f"{attempts[i]} attempt(s)"
-                                )}
-                                pending.pop(0)
-                            else:
-                                started = time.perf_counter()
-                    except BrokenExecutor:
-                        attempts[i] += 1
-                        pool = self._recycle(pool, futures, payloads, pending, raw)
-                        if attempts[i] > self.run_retries:
-                            raw[i] = {"ok": False, "error": (
-                                "worker death: the run kept crashing its "
-                                f"worker process ({attempts[i]} attempt(s))"
-                            )}
-                            pending.pop(0)
-                        else:
-                            started = time.perf_counter()
+            raw = self._supervisor.run(
+                _pool_worker, payloads, on_poll=poll_traces if self.trace else None
+            )
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._supervisor.close(wait=False)
 
         executed: List[RunOutcome] = []
         for run, key, resumed, outcome in zip(runs, keys, resumed_flags, raw):
-            if outcome is None or not outcome.get("ok"):
-                error = (outcome or {}).get("error", "no result")
+            if isinstance(outcome, Lost):
+                error = f"{_LOST_ERRORS[outcome.reason]} {outcome.detail}"
                 executed.append(self._fail(run, key, error, progress))
+            elif not outcome["ok"]:
+                executed.append(self._fail(run, key, outcome["error"], progress))
             else:
                 history = RunHistory.from_dict(outcome["history"])
                 executed.append(self._finish(run, key, history, resumed, progress))
         return executed
-
-    def _recycle(self, pool, futures, payloads, pending, raw):
-        """Replace a collapsed/hung pool and resubmit every unfinished run."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = ProcessPoolExecutor(max_workers=self.run_workers)
-        for j in pending:
-            if raw[j] is None:
-                futures[j] = pool.submit(_pool_worker, payloads[j])
-        return pool
-
-    def _poll_traces(self, runs, keys, pending, progress) -> None:
-        if not self.trace:
-            return
-        for j in pending:
-            rounds = rounds_completed(self.cache.trace_path(keys[j]))
-            if rounds:
-                progress.running_rounds(
-                    keys[j], runs[j].label(), rounds, runs[j].rounds
-                )
 
     # ------------------------------------------------------------------
     # bookkeeping

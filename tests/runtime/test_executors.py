@@ -22,6 +22,7 @@ from repro.runtime import (
     make_executor,
 )
 from repro.fl import FederationConfig
+from repro.runtime.pool import PoolSupervisor
 
 from ..conftest import make_tiny_federation
 
@@ -144,35 +145,65 @@ class TestFaultTolerance:
         assert history.records[0].extras["participants"] == 3.0
 
 
+    def test_each_timeout_is_charged_to_its_own_task(self, tiny_bundle, fault_hook):
+        # three tasks hang in every worker: each uses up its own retries and
+        # drops out; none is pushed inline onto the driver, where a real
+        # hang would block the round with no timeout at all
+        def stall_first_three(task):
+            if task.client_id < 3 and task.method == "train_local":
+                time.sleep(3.0)
+
+        fault_hook(stall_first_three)
+        fed = make_tiny_federation(
+            tiny_bundle,
+            num_clients=4,
+            server_model="mlp_small",
+            executor="parallel",
+            max_workers=2,
+            task_timeout_s=0.5,
+            task_retries=1,
+        )
+        algo = build_algorithm("fedavg", fed, seed=0, epoch_scale=0.2)
+        try:
+            history = algo.run(1, eval_every=1)
+        finally:
+            fed.close()
+        assert [(e.client_id, e.reason) for e in algo.dropout_log.events] == [
+            (0, "timeout"), (1, "timeout"), (2, "timeout")
+        ]
+        assert history.records[0].extras["participants"] == 1.0
+
+
 class TestRetryBackoff:
-    """Capped exponential backoff with seeded jitter between retries."""
+    """Capped exponential backoff with seeded jitter between retries, slept
+    by the pool supervisor both the executor and the sweep run on."""
 
     def test_disabled_by_default(self, monkeypatch):
-        ex = ParallelExecutor()
+        sup = PoolSupervisor()
         slept = []
         monkeypatch.setattr(time, "sleep", lambda s: slept.append(s))
-        assert ex._backoff_sleep(1, "local_train") == 0.0
+        assert sup._backoff_sleep(1, "local_train") == 0.0
         assert slept == []
 
     def test_delay_schedule_is_capped_exponential(self, monkeypatch):
-        ex = ParallelExecutor(retry_backoff_s=2.0, backoff_seed=0)
+        sup = PoolSupervisor(retry_backoff_s=2.0, backoff_seed=0)
         slept = []
         monkeypatch.setattr(time, "sleep", lambda s: slept.append(s))
         for attempt in (1, 2, 3, 10):
-            delay = ex._backoff_sleep(attempt, "local_train")
+            delay = sup._backoff_sleep(attempt, "local_train")
             assert delay == slept[-1]
-            base = min(ex._BACKOFF_CAP_S, 2.0 * 2.0 ** (attempt - 1))
+            base = min(sup.BACKOFF_CAP_S, 2.0 * 2.0 ** (attempt - 1))
             # equal jitter keeps the delay within [base/2, base]
             assert base * 0.5 <= delay <= base
         # attempt 10 would be 1024s uncapped; the cap bounds it
-        assert slept[-1] <= ex._BACKOFF_CAP_S
+        assert slept[-1] <= sup.BACKOFF_CAP_S
 
     def test_jitter_is_seeded_and_reproducible(self, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda s: None)
 
         def delays(seed):
-            ex = ParallelExecutor(retry_backoff_s=1.0, backoff_seed=seed)
-            return [ex._backoff_sleep(k, "stage") for k in (1, 1, 2, 3)]
+            sup = PoolSupervisor(retry_backoff_s=1.0, backoff_seed=seed)
+            return [sup._backoff_sleep(k, "stage") for k in (1, 1, 2, 3)]
 
         assert delays(7) == delays(7)
         assert delays(7) != delays(8)
@@ -194,5 +225,7 @@ class TestRetryBackoff:
         assert isinstance(ex, ParallelExecutor)
         assert ex.retry_backoff_s == 0.25
         # same seed, same jitter stream
-        twin = ParallelExecutor(retry_backoff_s=0.25, backoff_seed=42)
-        assert float(ex._backoff_rng.random()) == float(twin._backoff_rng.random())
+        twin = PoolSupervisor(retry_backoff_s=0.25, backoff_seed=42)
+        assert float(ex._supervisor._backoff_rng.random()) == float(
+            twin._backoff_rng.random()
+        )

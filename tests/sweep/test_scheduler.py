@@ -1,6 +1,7 @@
 """Tests for the sweep scheduler: execution, isolation, caching, resume."""
 
 import os
+import time
 
 import pytest
 
@@ -30,6 +31,27 @@ def make_spec(algorithms=("fedavg",), seeds=(0,), rounds=1, name="t"):
 
 def make_scheduler(spec, tmp_path, **kwargs):
     return SweepScheduler(spec, out_root=str(tmp_path / "out"), **kwargs)
+
+
+def patch_worker_runs(monkeypatch, log_path, in_worker):
+    """Log every execution's seed to ``log_path``; pool workers (which
+    inherit the patch through fork) also call ``in_worker(seed)`` first."""
+    driver = os.getpid()
+    original = scheduler_mod.execute_run
+
+    def execute(payload):
+        seed = payload["run"]["setting_fields"]["seed"]
+        with open(log_path, "a") as fh:
+            fh.write(f"{seed}\n")
+        if os.getpid() != driver:
+            in_worker(seed)
+        return original(payload)
+
+    monkeypatch.setattr(scheduler_mod, "execute_run", execute)
+
+
+def executions(log_path):
+    return sorted(int(seed) for seed in log_path.read_text().split())
 
 
 class TestInlineExecution:
@@ -204,3 +226,60 @@ class TestPoolExecution:
                     a.server_acc != a.server_acc and b.server_acc != b.server_acc
                 )
                 assert a.client_accs == b.client_accs
+
+    def test_timed_out_run_is_not_resubmitted(self, tmp_path, monkeypatch):
+        # seed 0 hangs in its worker; seed 1 finishes inside the deadline.
+        # The recycle after seed 0's only attempt must bank seed 1 rather
+        # than run it again, and must not resubmit seed 0, which has no
+        # retries left
+        def hang_seed_zero(seed):
+            if seed == 0:
+                time.sleep(6.0)
+                raise RuntimeError("hung run woke up")
+
+        log = tmp_path / "executions.log"
+        patch_worker_runs(monkeypatch, log, hang_seed_zero)
+        scheduler = make_scheduler(
+            make_spec(seeds=(0, 1)), tmp_path,
+            run_workers=2, run_timeout_s=2, run_retries=0,
+        )
+        result = scheduler.run()
+        statuses = {o.spec.setting_fields["seed"]: o.status for o in result.outcomes}
+        assert statuses == {0: "failed", 1: "completed"}
+        assert executions(log) == [0, 1]
+
+    def test_worker_death_fails_the_run_not_its_sibling(self, tmp_path, monkeypatch):
+        marker = tmp_path / "crashed"
+
+        def crash_seed_zero_once(seed):
+            if seed == 0 and not marker.exists():
+                marker.touch()
+                os._exit(1)
+
+        patch_worker_runs(monkeypatch, tmp_path / "executions.log",
+                          crash_seed_zero_once)
+        scheduler = make_scheduler(
+            make_spec(seeds=(0, 1)), tmp_path, run_workers=2, run_retries=0,
+        )
+        result = scheduler.run()
+        by_seed = {o.spec.setting_fields["seed"]: o for o in result.outcomes}
+        assert by_seed[0].status == "failed"
+        assert by_seed[0].error.startswith(
+            "worker death: the run kept crashing its worker process"
+        )
+        assert by_seed[1].status == "completed"
+
+    def test_timed_out_run_is_recorded_with_its_error(self, tmp_path, monkeypatch):
+        def hang(seed):
+            time.sleep(4.0)
+            raise RuntimeError("hung run woke up")
+
+        patch_worker_runs(monkeypatch, tmp_path / "executions.log", hang)
+        scheduler = make_scheduler(
+            make_spec(), tmp_path, run_workers=2, run_timeout_s=1, run_retries=0,
+        )
+        outcome = scheduler.run().outcomes[0]
+        assert outcome.status == "failed"
+        record = scheduler.registry.get(outcome.run_key)
+        assert record["status"] == "failed"
+        assert record["error"] == "timeout: no result within 1s after 1 attempt(s)"
